@@ -17,6 +17,7 @@ both the system under test and the monitor.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -35,20 +36,37 @@ Listener = Callable[[CanFrame, str, Dict[str, SignalValue]], None]
 FrameTap = Callable[[MessageDef, bytes, float], Optional[bytes]]
 
 
+#: Jitter delays drawn from the generator at a time.
+JITTER_BLOCK = 1024
+
+
 class JitterModel:
-    """Uniform random transmission delay in ``[0, max_jitter]`` seconds."""
+    """Uniform random transmission delay in ``[0, max_jitter]`` seconds.
+
+    Delays are drawn from the generator in blocks of
+    :data:`JITTER_BLOCK`; a block draw yields exactly the sequence of
+    one-at-a-time draws, so the delays depend on the seed only.
+    """
 
     def __init__(self, max_jitter: float = 0.0, seed: int = 0) -> None:
-        if max_jitter < 0:
-            raise BusError("max_jitter must be non-negative")
+        if not 0 <= max_jitter < math.inf:
+            raise BusError("max_jitter must be finite and non-negative")
         self.max_jitter = max_jitter
         self._rng = np.random.default_rng(seed)
+        self._block: List[float] = []
+        self._next = 0
 
     def delay(self) -> float:
         """Sample one transmission delay."""
         if self.max_jitter == 0.0:
             return 0.0
-        return float(self._rng.uniform(0.0, self.max_jitter))
+        if self._next == len(self._block):
+            self._block = self._rng.uniform(
+                0.0, self.max_jitter, JITTER_BLOCK
+            ).tolist()
+            self._next = 0
+        self._next += 1
+        return self._block[self._next - 1]
 
 
 class CanBus:
@@ -73,8 +91,9 @@ class CanBus:
         self._listeners: List[Listener] = []
         self._taps: List[FrameTap] = []
         self._phase_stagger = phase_stagger
-        # Min-heap of (due_time, can_id, message_name).
-        self._schedule: List[Tuple[float, int, str]] = []
+        # Min-heap of (due_time, can_id, message); ids are unique, so
+        # ties never compare the messages themselves.
+        self._schedule: List[Tuple[float, int, MessageDef]] = []
         self.frames_sent = 0
         self.frames_dropped = 0
 
@@ -85,7 +104,7 @@ class CanBus:
             raise BusError("message %s already has a publisher" % message_name)
         self._providers[message_name] = provider
         phase = (message.can_id % 16) * self._phase_stagger
-        heapq.heappush(self._schedule, (phase, message.can_id, message_name))
+        heapq.heappush(self._schedule, (phase, message.can_id, message))
 
     def add_listener(self, listener: Listener) -> None:
         """Attach a passive listener that receives every decoded frame."""
@@ -97,7 +116,10 @@ class CanBus:
 
     def remove_frame_tap(self, tap: FrameTap) -> None:
         """Remove a previously installed tap."""
-        self._taps.remove(tap)
+        try:
+            self._taps.remove(tap)
+        except ValueError:
+            raise BusError("frame tap %r is not installed" % (tap,)) from None
 
     def unpublished_messages(self) -> Tuple[str, ...]:
         """Database messages that nobody publishes (useful for wiring checks)."""
@@ -115,20 +137,26 @@ class CanBus:
         perturbs the observed timestamps, exactly the failure mode that
         makes naive multi-rate differencing misbehave.
         """
+        if not math.isfinite(now):
+            raise BusError("bus time must be finite, got %r" % (now,))
         delivered: List[CanFrame] = []
-        while self._schedule and self._schedule[0][0] <= now + 1e-12:
-            due, can_id, name = heapq.heappop(self._schedule)
-            message = self.database.message_by_name(name)
+        schedule = self._schedule
+        while schedule and schedule[0][0] <= now + 1e-12:
+            due, can_id, message = heapq.heappop(schedule)
             frame = self._transmit(message, due)
             if frame is not None:
                 delivered.append(frame)
-            heapq.heappush(
-                self._schedule, (due + message.period, can_id, name)
-            )
+            heapq.heappush(schedule, (due + message.period, can_id, message))
         return delivered
 
     def run_until(self, end: float, dt: float = 0.01) -> None:
         """Convenience driver: step the bus alone up to ``end`` seconds."""
+        if not math.isfinite(end):
+            raise BusError("end time must be finite, got %r" % (end,))
+        if not 0 < dt < math.inf:
+            raise BusError(
+                "time step must be finite and positive, got %r" % (dt,)
+            )
         t = 0.0
         while t < end:
             t += dt

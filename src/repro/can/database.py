@@ -9,13 +9,129 @@ the paper's monitor relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+import struct
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
-from repro.can.codec import decode_signal, encode_signal
+from repro.can.codec import physical_to_raw
 from repro.can.errors import DatabaseError
 from repro.can.frame import CanFrame, MAX_DLC
-from repro.can.signal import SignalDef, SignalValue
+from repro.can.signal import ByteOrder, SignalDef, SignalType, SignalValue
+
+_FLOAT32 = struct.Struct("<f")
+_UINT32 = struct.Struct("<I")
+_FLOAT = SignalType.FLOAT
+_BOOL = SignalType.BOOL
+
+
+class MessageLayout:
+    """A message's signal layout compiled to shift/mask tables.
+
+    One field tuple ``(name, kind, shift, mask, default, big)`` per
+    signal, in declaration order: ``shift`` positions the raw field in
+    the payload read as one little-endian integer, or as one big-endian
+    integer when ``big`` is set (Motorola signals).  Packing ORs every
+    field into an integer and converts it to bytes once; unpacking reads
+    the payload integer once and masks every field out of it.  The
+    results are bit-identical to the per-signal reference functions of
+    :mod:`repro.can.codec`, which the differential tests hold it to.
+    """
+
+    def __init__(self, message: MessageDef) -> None:
+        self.length = message.length
+        self._signals = {signal.name: signal for signal in message.signals}
+        fields = []
+        for signal in message.signals:
+            big = signal.byte_order is ByteOrder.BIG_ENDIAN
+            shift = signal.start_bit
+            if big:
+                shift = 8 * self.length - signal.start_bit - signal.bit_length
+            fields.append(
+                (
+                    signal.name,
+                    signal.kind,
+                    shift,
+                    signal.max_raw,
+                    signal.default_value(),
+                    big,
+                )
+            )
+        self.fields = tuple(fields)
+        self.any_big = any(field[5] for field in fields)
+
+    def pack(
+        self, values: Mapping[str, SignalValue]
+    ) -> Tuple[bytes, Dict[str, SignalValue]]:
+        """Encode ``values`` (defaults for missing signals) into a payload.
+
+        Returns the payload and the values a decode of it yields: every
+        float passes through its binary32 bytes here anyway, so the
+        quantized value comes from the same bytes the payload carries.
+        """
+        little = big = 0
+        decoded: Dict[str, SignalValue] = {}
+        for name, kind, shift, mask, default, is_big in self.fields:
+            value = values.get(name, default)
+            if kind is _FLOAT:
+                try:
+                    packed = _FLOAT32.pack(float(value))
+                except (OverflowError, ValueError, TypeError):
+                    packed = _UINT32.pack(self._reference_raw(name, value))
+                raw = _UINT32.unpack(packed)[0]
+                decoded[name] = _FLOAT32.unpack(packed)[0]
+            elif kind is _BOOL:
+                raw = 1 if value else 0
+                decoded[name] = raw == 1
+            else:
+                if type(value) is int and 0 <= value <= mask:
+                    raw = value
+                else:
+                    raw = int(self._reference_raw(name, value))
+                decoded[name] = raw
+            if is_big:
+                big |= raw << shift
+            else:
+                little |= raw << shift
+        if big:
+            # Motorola fields, moved into the little-endian reading.
+            big = int.from_bytes(big.to_bytes(self.length, "big"), "little")
+        return (little | big).to_bytes(self.length, "little"), decoded
+
+    def unpack(self, data: bytes) -> Dict[str, SignalValue]:
+        """Decode every signal out of ``data`` (at least ``length`` bytes;
+        bytes past the message length carry no signal)."""
+        if len(data) != self.length:
+            data = data[: self.length]
+        little = int.from_bytes(data, "little")
+        big = int.from_bytes(data, "big") if self.any_big else 0
+        values: Dict[str, SignalValue] = {}
+        for name, kind, shift, mask, _, is_big in self.fields:
+            raw = ((big if is_big else little) >> shift) & mask
+            if kind is _FLOAT:
+                values[name] = _FLOAT32.unpack(_UINT32.pack(raw))[0]
+            elif kind is _BOOL:
+                values[name] = raw == 1
+            else:
+                values[name] = raw
+        return values
+
+    def _reference_raw(self, name: str, value: SignalValue) -> int:
+        """The reference conversion, for values the fast path does not
+        take: it raises the reference codec's :class:`CodecError` for a
+        value that cannot be encoded."""
+        return physical_to_raw(self._signals[name], value)
+
+
+def _payload_mask(signal: SignalDef, length: int) -> int:
+    """The bits ``signal`` occupies in a ``length``-byte payload, as a
+    mask over the payload read as one little-endian integer."""
+    if signal.byte_order is ByteOrder.LITTLE_ENDIAN:
+        return signal.max_raw << signal.start_bit
+    shift = 8 * length - signal.start_bit - signal.bit_length
+    return int.from_bytes(
+        (signal.max_raw << shift).to_bytes(length, "big"), "little"
+    )
 
 
 @dataclass(frozen=True)
@@ -60,13 +176,26 @@ class MessageDef:
                     "%s: signal %s does not fit in %d bytes"
                     % (self.name, signal.name, self.length)
                 )
-        ordered = sorted(self.signals, key=lambda s: s.start_bit)
-        for left, right in zip(ordered, ordered[1:]):
-            if left.overlaps(right):
+        # Compare the payload bits each field occupies: start-bit spans
+        # of signals with different byte orders are not comparable.
+        taken = 0
+        for signal in self.signals:
+            mask = _payload_mask(signal, self.length)
+            if taken & mask:
+                other = next(
+                    other
+                    for other in self.signals
+                    if other is not signal
+                    and _payload_mask(other, self.length) & mask
+                )
+                left, right = sorted(
+                    (other, signal), key=lambda s: s.start_bit
+                )
                 raise DatabaseError(
                     "%s: signals %s and %s overlap"
                     % (self.name, left.name, right.name)
                 )
+            taken |= mask
 
     def signal(self, name: str) -> SignalDef:
         """Look up one of this message's signals by name."""
@@ -79,6 +208,11 @@ class MessageDef:
         """Names of all signals in payload order."""
         return tuple(s.name for s in sorted(self.signals, key=lambda s: s.start_bit))
 
+    @cached_property
+    def layout(self) -> MessageLayout:
+        """The compiled layout, built on first use and kept."""
+        return MessageLayout(self)
+
 
 class CanDatabase:
     """A collection of message definitions with encode/decode helpers."""
@@ -87,6 +221,9 @@ class CanDatabase:
         self._by_id: Dict[int, MessageDef] = {}
         self._by_name: Dict[str, MessageDef] = {}
         self._signal_home: Dict[str, MessageDef] = {}
+        # Per CAN id, the last payload :meth:`encode` produced and its
+        # decoded values (see :meth:`decode`).
+        self._decoded: Dict[int, Tuple[bytes, Dict[str, SignalValue]]] = {}
         for message in messages:
             self.add_message(message)
 
@@ -173,27 +310,33 @@ class CanDatabase:
 
         Signals missing from ``values`` are encoded with their benign
         defaults, so a publisher only needs to supply what it produces.
+        The payload's decoded values are kept for the next :meth:`decode`
+        of this message's id.
         """
         message = self.message_by_name(message_name)
-        data = bytes(message.length)
-        for signal in message.signals:
-            value = values.get(signal.name, signal.default_value())
-            data = encode_signal(data, signal, value)
+        data, decoded = message.layout.pack(values)
+        self._decoded[message.can_id] = (data, decoded)
         return data
 
     def decode(self, frame: CanFrame) -> Tuple[str, Dict[str, SignalValue]]:
-        """Decode a frame into ``(message_name, {signal: physical value})``."""
+        """Decode a frame into ``(message_name, {signal: physical value})``.
+
+        Decoding is a pure function of ``(can_id, data)``: when ``frame``
+        carries exactly the payload the last :meth:`encode` of its id
+        produced, the values kept from that encode are returned (once);
+        any other payload, e.g. one an injection tap rewrote, is decoded
+        from its bytes.
+        """
         message = self.message_by_id(frame.can_id)
         if frame.dlc < message.length:
             raise DatabaseError(
                 "%s: frame carries %d bytes, expected %d"
                 % (message.name, frame.dlc, message.length)
             )
-        values = {
-            signal.name: decode_signal(frame.data, signal)
-            for signal in message.signals
-        }
-        return message.name, values
+        kept = self._decoded.pop(frame.can_id, None)
+        if kept is not None and kept[0] == frame.data:
+            return message.name, kept[1]
+        return message.name, message.layout.unpack(frame.data)
 
     def frame_for(
         self,

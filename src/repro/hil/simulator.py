@@ -201,6 +201,10 @@ class HilSimulator:
 
     def run_for(self, seconds: float) -> None:
         """Step the testbench forward by ``seconds`` of simulated time."""
+        if not math.isfinite(seconds):
+            raise SimulationError(
+                "run length must be finite, got %r" % (seconds,)
+            )
         end = self.time + seconds
         while self.time < end - PHYSICS_DT / 2:
             self.step()

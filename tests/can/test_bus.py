@@ -1,8 +1,11 @@
 """Broadcast bus: scheduling, periods, jitter, listeners, taps."""
 
+import math
+
+import numpy as np
 import pytest
 
-from repro.can.bus import CanBus, JitterModel
+from repro.can.bus import JITTER_BLOCK, CanBus, JitterModel
 from repro.can.database import CanDatabase, MessageDef
 from repro.can.errors import BusError
 from repro.can.signal import SignalDef, SignalType
@@ -101,6 +104,26 @@ class TestJitter:
         with pytest.raises(BusError):
             JitterModel(-0.001)
 
+    @pytest.mark.parametrize("max_jitter", [math.nan, math.inf])
+    def test_non_finite_jitter_rejected(self, max_jitter):
+        with pytest.raises(BusError):
+            JitterModel(max_jitter)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2014])
+    def test_block_draws_equal_scalar_draws(self, seed):
+        # Spans at least two block boundaries.
+        count = 2 * JITTER_BLOCK + 452
+        model = JitterModel(0.004, seed)
+        scalar = np.random.default_rng(seed)
+        for _ in range(count):
+            assert model.delay() == float(scalar.uniform(0.0, 0.004))
+
+    def test_zero_jitter_draws_nothing(self):
+        model = JitterModel(0.0, seed=3)
+        state = model._rng.bit_generator.state
+        assert [model.delay() for _ in range(10)] == [0.0] * 10
+        assert model._rng.bit_generator.state == state
+
 
 class TestTaps:
     def test_tap_rewrites_payload(self, database):
@@ -124,3 +147,29 @@ class TestTaps:
         bus.add_frame_tap(tap)
         bus.remove_frame_tap(tap)
         bus.run_until(0.05)  # must not raise
+
+    def test_removing_unknown_tap_raises_bus_error(self):
+        bus, _ = build_bus()
+        with pytest.raises(BusError, match="not installed"):
+            bus.remove_frame_tap(lambda message, data, timestamp: data)
+
+
+class TestTimeValidation:
+    @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf])
+    def test_step_rejects_non_finite_time(self, now):
+        bus, _ = build_bus()
+        with pytest.raises(BusError, match="finite"):
+            bus.step(now)
+        assert bus.frames_sent == 0
+
+    @pytest.mark.parametrize("end", [math.nan, math.inf])
+    def test_run_until_rejects_non_finite_end(self, end):
+        bus, _ = build_bus()
+        with pytest.raises(BusError, match="finite"):
+            bus.run_until(end)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf])
+    def test_run_until_rejects_bad_step(self, dt):
+        bus, _ = build_bus()
+        with pytest.raises(BusError, match="time step"):
+            bus.run_until(0.1, dt=dt)

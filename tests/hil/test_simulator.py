@@ -117,3 +117,15 @@ class TestScenarioDynamics:
     def test_jitter_bound_validated(self):
         with pytest.raises(SimulationError):
             HilSimulator(steady_follow(10.0), jitter_max=CONTROL_PERIOD)
+
+    @pytest.mark.parametrize("seconds", [math.inf, math.nan, -math.inf])
+    def test_run_for_rejects_non_finite_length(self, seconds):
+        simulator = HilSimulator(steady_follow(10.0))
+        with pytest.raises(SimulationError, match="finite"):
+            simulator.run_for(seconds)
+        assert simulator.time == 0.0
+
+    def test_run_rejects_infinite_duration(self):
+        simulator = HilSimulator(steady_follow(10.0))
+        with pytest.raises(SimulationError, match="finite"):
+            simulator.run(math.inf)
