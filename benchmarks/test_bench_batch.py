@@ -1,8 +1,8 @@
 """Publish the batched-checking benchmark (``BENCH_batch.json``).
 
 Reduced-scale by default so the tier-2 bench suite stays quick; CI's
-``batch-smoke`` job reruns the same bench through
-``benchmarks/batch_smoke.py`` and gates the ratios against the
+``bench-gate`` job reruns the same bench through
+``benchmarks/gate.py batch`` and gates the ratios against the
 committed baseline.
 """
 
@@ -11,12 +11,12 @@ import json
 import pytest
 
 from repro.obs import (
+    BATCH_BENCH_SCHEMA,
     BATCH_BENCH_SCHEMA_VERSION,
     bench_batch,
     format_batch_bench,
-    require_valid_batch_bench_snapshot,
-    validate_batch_bench_snapshot,
 )
+from repro.schema import require_valid, validate
 
 
 @pytest.fixture(scope="module")
@@ -27,8 +27,8 @@ def snapshot():
 class TestSnapshotShape:
     def test_schema_and_validation(self, snapshot):
         assert snapshot["schema"] == BATCH_BENCH_SCHEMA_VERSION
-        assert validate_batch_bench_snapshot(snapshot) == []
-        assert require_valid_batch_bench_snapshot(snapshot) is snapshot
+        assert validate(snapshot, BATCH_BENCH_SCHEMA) == []
+        assert require_valid(snapshot, BATCH_BENCH_SCHEMA) is snapshot
 
     def test_letters_were_audited_identical(self, snapshot):
         assert snapshot["identical"] is True
@@ -61,23 +61,23 @@ class TestSnapshotShape:
 
 class TestValidatorRejects:
     def test_non_dict(self):
-        assert validate_batch_bench_snapshot([]) != []
+        assert validate([], BATCH_BENCH_SCHEMA) != []
 
     def test_wrong_schema(self, snapshot):
         bad = dict(snapshot, schema="repro.bench.batch/v0")
-        assert any("schema" in p for p in validate_batch_bench_snapshot(bad))
+        assert any("schema" in p for p in validate(bad, BATCH_BENCH_SCHEMA))
 
     def test_divergent_letters_rejected(self, snapshot):
         bad = dict(snapshot, identical=False)
-        problems = validate_batch_bench_snapshot(bad)
+        problems = validate(bad, BATCH_BENCH_SCHEMA)
         assert any("identical" in p for p in problems)
         with pytest.raises(ValueError):
-            require_valid_batch_bench_snapshot(bad)
+            require_valid(bad, BATCH_BENCH_SCHEMA)
 
     def test_missing_ratio_rejected(self, snapshot):
         bad = dict(snapshot, ratios={"speedup": 2.0})
         assert any(
-            "pickle_collapse" in p for p in validate_batch_bench_snapshot(bad)
+            "pickle_collapse" in p for p in validate(bad, BATCH_BENCH_SCHEMA)
         )
 
 

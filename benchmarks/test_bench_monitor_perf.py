@@ -16,13 +16,14 @@ from repro.core.monitor import Monitor
 from repro.core.parser import parse_formula
 from repro.core.windows import active_kernel
 from repro.obs import (
+    BENCH_SCHEMA,
     MetricsRegistry,
     bench_monitor,
     format_bench,
-    require_valid_bench_snapshot,
     use_registry,
 )
 from repro.rules.safety_rules import paper_rules
+from repro.schema import require_valid
 
 PROPOSITIONAL = "BrakeRequested -> RequestedDecel <= 0"
 SHORT_WINDOW = (
@@ -112,10 +113,11 @@ def test_window_width_sweep(publish):
     """Width x kernel sweep plus memo ablation -> BENCH_monitor.json.
 
     The machine-readable snapshot is the committed baseline CI's
-    perf-smoke gate compares against (``benchmarks/perf_smoke.py``).
+    bench gate compares against (``benchmarks/gate.py monitor``).
     """
-    snapshot = require_valid_bench_snapshot(
-        bench_monitor(rows=15000, widths=(10, 100, 1000), repeats=3)
+    snapshot = require_valid(
+        bench_monitor(rows=15000, widths=(10, 100, 1000), repeats=3),
+        BENCH_SCHEMA,
     )
     publish("BENCH_monitor.json", json.dumps(snapshot, indent=2))
     publish("monitor_sweep.txt", format_bench(snapshot))

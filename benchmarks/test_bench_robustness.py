@@ -24,11 +24,12 @@ from pathlib import Path
 from repro.core.monitor import Monitor
 from repro.core.robustness import float_from_json
 from repro.obs import (
+    ROBUSTNESS_BENCH_SCHEMA,
     bench_robustness,
     format_robustness_bench,
-    require_valid_robustness_bench_snapshot,
 )
 from repro.rules.safety_rules import RULE_IDS, paper_rules
+from repro.schema import require_valid
 from repro.testing.campaign import RobustnessCampaign
 
 GOLDEN = (
@@ -118,8 +119,9 @@ def test_drive_log_near_misses(drive_logs, publish):
 
 
 def test_robustness_bench_schema(publish):
-    snapshot = require_valid_robustness_bench_snapshot(
-        bench_robustness(rows=20000, repeats=2)
+    snapshot = require_valid(
+        bench_robustness(rows=20000, repeats=2),
+        ROBUSTNESS_BENCH_SCHEMA,
     )
     publish("robustness_bench.txt", format_robustness_bench(snapshot))
     # Same-machine scaling: overhead must not grow with window width.

@@ -96,27 +96,25 @@ from repro.analysis.margins import (
     rule_margin,
 )
 from repro.analysis.schema import (
+    AUDIT_REPORT_SCHEMA,
     AUDIT_SCHEMA_VERSION,
+    AUTOMATA_REPORT_SCHEMA,
     AUTOMATA_SCHEMA_VERSION,
+    LINT_REPORT_SCHEMA,
+    MARGINS_REPORT_SCHEMA,
     MARGINS_SCHEMA_VERSION,
     SCHEMA_VERSION,
     build_audit_report,
     build_automata_report,
     build_margins_report,
     build_report,
-    require_valid_audit_report,
-    require_valid_automata_report,
-    require_valid_margins_report,
-    require_valid_report,
-    validate_audit_report,
-    validate_automata_report,
-    validate_margins_report,
-    validate_report,
 )
 
 __all__ = [
     "ALWAYS",
+    "AUDIT_REPORT_SCHEMA",
     "AUDIT_SCHEMA_VERSION",
+    "AUTOMATA_REPORT_SCHEMA",
     "AUTOMATA_SCHEMA_VERSION",
     "Alphabet",
     "AlphabetError",
@@ -132,7 +130,9 @@ __all__ = [
     "Diagnostic",
     "FlowEdge",
     "Interval",
+    "LINT_REPORT_SCHEMA",
     "LintContext",
+    "MARGINS_REPORT_SCHEMA",
     "MARGINS_SCHEMA_VERSION",
     "MAYBE",
     "MarginEnv",
@@ -183,15 +183,7 @@ __all__ = [
     "prove_implies",
     "prove_valid",
     "reduce_observables",
-    "require_valid_audit_report",
-    "require_valid_automata_report",
-    "require_valid_margins_report",
-    "require_valid_report",
     "rule_margin",
     "sort_diagnostics",
     "to_dot",
-    "validate_audit_report",
-    "validate_automata_report",
-    "validate_margins_report",
-    "validate_report",
 ]

@@ -556,46 +556,37 @@ class _ProverContext:
 def _automata_contradicts(
     a: Formula, b: Formula, env: Mapping[str, Interval], ctx: _ProverContext
 ) -> bool:
-    try:
-        return (
-            prove_contradicts(
-                a, b, machines=ctx.machines, env=env,
-                bool_signals=ctx.bool_signals, period=ctx.period,
-            )
-            == PROVED
+    return (
+        prove_contradicts(
+            a, b, machines=ctx.machines, env=env,
+            bool_signals=ctx.bool_signals, period=ctx.period,
         )
-    except Exception:
-        return False  # the fallback must never break the audit
+        == PROVED
+    )
 
 
 def _automata_implies(
     a: Formula, b: Formula, env: Mapping[str, Interval], ctx: _ProverContext
 ) -> bool:
-    try:
-        return (
-            prove_implies(
-                a, b, machines=ctx.machines, env=env,
-                bool_signals=ctx.bool_signals, period=ctx.period,
-            )
-            == PROVED
+    return (
+        prove_implies(
+            a, b, machines=ctx.machines, env=env,
+            bool_signals=ctx.bool_signals, period=ctx.period,
         )
-    except Exception:
-        return False
+        == PROVED
+    )
 
 
 def _automata_valid(
     formula: Formula, env: Mapping[str, Interval], ctx: _ProverContext
 ) -> bool:
-    try:
-        return (
-            prove_valid(
-                formula, machines=ctx.machines, env=env,
-                bool_signals=ctx.bool_signals, period=ctx.period,
-            )
-            == PROVED
+    return (
+        prove_valid(
+            formula, machines=ctx.machines, env=env,
+            bool_signals=ctx.bool_signals, period=ctx.period,
         )
-    except Exception:
-        return False
+        == PROVED
+    )
 
 
 def _rule_pair_checks(

@@ -35,21 +35,33 @@ diagnostics split into the three analysis-family ``sections``
       "counts": {"error": 0, "warning": 6, "info": 9}
     }
 
-Validation is hand-rolled like :mod:`repro.obs.schema` (zero-dependency
-beyond numpy): :func:`validate_report` / :func:`validate_audit_report`
-return a list of problems, and the ``require_*`` variants raise — the CI
-``lint-specs`` and ``audit`` jobs call the latter over the bundled and
-example spec files.
+Each format is declared here (:data:`LINT_REPORT_SCHEMA`,
+:data:`AUDIT_REPORT_SCHEMA`, :data:`MARGINS_REPORT_SCHEMA`,
+:data:`AUTOMATA_REPORT_SCHEMA`) and checked by
+:func:`repro.schema.validate` / :func:`repro.schema.require_valid` — the
+CI ``lint-specs``, ``audit``, ``margins-smoke`` and ``automata-smoke``
+jobs call the latter on the reports they produce.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.analysis.diagnostics import (
     Diagnostic,
     Severity,
     count_by_severity,
+)
+from repro.schema import (
+    BOUND,
+    COUNT,
+    POSITIVE,
+    SIGNAL_SETS,
+    STRINGS,
+    Field,
+    ordered_bounds,
+    partition,
+    tag,
 )
 
 #: Identifier of the report format this module reads and writes.
@@ -94,108 +106,87 @@ def build_report(
     }
 
 
-def _validate_counts(owner: str, counts: object) -> List[str]:
-    if not isinstance(counts, dict):
-        return ["%s needs a 'counts' object" % owner]
+def _diagnostic(prefix: str) -> Field:
+    def code_check(code: Any, where: str) -> List[str]:
+        if code.startswith(prefix):
+            return []
+        return ["%s %r is not a %s code" % (where, code, prefix)]
+
+    text = Field("str")
+    nullable_int = Field("int", nullable=True, optional=True)
+    return Field(
+        "object",
+        {
+            "code": Field("str", check=code_check),
+            "severity": Field("str", enum=_SEVERITIES),
+            "subject": text,
+            "message": text,
+            "suggestion": text,
+            "file": Field("str", nullable=True, optional=True),
+            "line": nullable_int,
+            "column": nullable_int,
+        },
+    )
+
+
+_COUNTS = Field("object", {severity: COUNT for severity in _SEVERITIES})
+
+
+def _report_counts(report: Any, where: str) -> List[str]:
     problems = []
     for severity in _SEVERITIES:
-        value = counts.get(severity)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        total = sum(target["counts"][severity] for target in report["targets"])
+        if report["counts"][severity] != total:
             problems.append(
-                "%s count %r must be a non-negative integer" % (owner, severity)
+                "report declares %r %s findings but targets sum to %d"
+                % (report["counts"][severity], severity, total)
             )
     return problems
 
 
-def _validate_diagnostic(
-    owner: str, dump: object, prefixes: Tuple[str, ...] = ("SL",)
-) -> List[str]:
-    if not isinstance(dump, dict):
-        return ["%s diagnostics must be objects" % owner]
-    problems = []
-    code = dump.get("code")
-    if not (isinstance(code, str) and code.startswith(prefixes)):
-        problems.append(
-            "%s diagnostic code %r is not a %s code"
-            % (owner, code, "/".join(prefixes))
-        )
-    if dump.get("severity") not in _SEVERITIES:
-        problems.append(
-            "%s diagnostic severity %r invalid" % (owner, dump.get("severity"))
-        )
-    for key in ("subject", "message", "suggestion"):
-        if not isinstance(dump.get(key), str):
-            problems.append("%s diagnostic needs a string %r" % (owner, key))
-    for key in ("file",):
-        if dump.get(key) is not None and not isinstance(dump.get(key), str):
-            problems.append("%s diagnostic %r must be a string or null" % (owner, key))
-    for key in ("line", "column"):
-        value = dump.get(key)
-        if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
-            problems.append(
-                "%s diagnostic %r must be an integer or null" % (owner, key)
-            )
-    return problems
+def _report_schema(version: str, title: str, listing: str, **fields: Field) -> Field:
+    """The shared lint/audit envelope around targets with ``fields``;
+    ``listing`` names the one holding the diagnostics (an array, or
+    arrays by section)."""
 
-
-def validate_report(report: object) -> List[str]:
-    """All the ways ``report`` fails to be a valid lint report."""
-    if not isinstance(report, dict):
-        return ["report must be a JSON object, got %s" % type(report).__name__]
-    problems: List[str] = []
-    if report.get("schema") != SCHEMA_VERSION:
-        problems.append(
-            "schema must be %r, got %r" % (SCHEMA_VERSION, report.get("schema"))
-        )
-    targets = report.get("targets")
-    if not isinstance(targets, list):
-        return problems + ["missing or non-array 'targets'"]
-    problems.extend(_validate_counts("report", report.get("counts")))
-    totals = {severity: 0 for severity in _SEVERITIES}
-    for target in targets:
-        if not isinstance(target, dict):
-            problems.append("targets must be objects")
-            continue
-        name = target.get("name")
-        if not isinstance(name, str):
-            problems.append("target needs a string 'name'")
-            name = "<unnamed>"
-        owner = "target %r" % name
-        diagnostics = target.get("diagnostics")
-        if not isinstance(diagnostics, list):
-            problems.append("%s needs a 'diagnostics' array" % owner)
-            diagnostics = []
+    def target_counts(target: Any, where: str) -> List[str]:
+        listed = target[listing]
+        if isinstance(listed, dict):
+            listed = [dump for section in listed.values() for dump in section]
         seen = {severity: 0 for severity in _SEVERITIES}
-        for dump in diagnostics:
-            problems.extend(_validate_diagnostic(owner, dump))
-            if isinstance(dump, dict) and dump.get("severity") in seen:
-                seen[dump["severity"]] += 1
-        problems.extend(_validate_counts(owner, target.get("counts")))
-        if isinstance(target.get("counts"), dict):
-            for severity in _SEVERITIES:
-                declared = target["counts"].get(severity)
-                if isinstance(declared, int) and declared != seen[severity]:
-                    problems.append(
-                        "%s declares %r %s findings but lists %d"
-                        % (owner, declared, severity, seen[severity])
-                    )
-                totals[severity] += seen[severity]
-    if isinstance(report.get("counts"), dict) and not problems:
-        for severity in _SEVERITIES:
-            if report["counts"].get(severity) != totals[severity]:
-                problems.append(
-                    "report declares %r %s findings but targets sum to %d"
-                    % (report["counts"].get(severity), severity, totals[severity])
-                )
-    return problems
+        for dump in listed:
+            seen[dump["severity"]] += 1
+        return [
+            "%s declares %r %s findings but lists %d"
+            % (where, target["counts"][severity], severity, seen[severity])
+            for severity in _SEVERITIES
+            if target["counts"][severity] != seen[severity]
+        ]
+
+    target = Field(
+        "object",
+        dict(fields, name=Field("str"), counts=_COUNTS),
+        check=target_counts,
+    )
+    return Field(
+        "object",
+        {
+            "schema": tag(version),
+            "targets": Field("array", of=target),
+            "counts": _COUNTS,
+        },
+        check=_report_counts,
+        title=title,
+    )
 
 
-def require_valid_report(report: object) -> Dict[str, object]:
-    """Validate and return ``report``; raise ``ValueError`` otherwise."""
-    problems = validate_report(report)
-    if problems:
-        raise ValueError("invalid lint report: %s" % "; ".join(problems))
-    return report  # type: ignore[return-value]
+#: The ``repro.lint/v1`` report (layout in the module docstring).
+LINT_REPORT_SCHEMA = _report_schema(
+    SCHEMA_VERSION,
+    "lint report",
+    "diagnostics",
+    diagnostics=Field("array", of=_diagnostic("SL")),
+)
 
 
 # ----------------------------------------------------------------------
@@ -220,91 +211,18 @@ def build_audit_report(reports: Sequence) -> Dict[str, object]:
     }
 
 
-def validate_audit_report(report: object) -> List[str]:
-    """All the ways ``report`` fails to be a valid audit report."""
-    if not isinstance(report, dict):
-        return ["report must be a JSON object, got %s" % type(report).__name__]
-    problems: List[str] = []
-    if report.get("schema") != AUDIT_SCHEMA_VERSION:
-        problems.append(
-            "schema must be %r, got %r"
-            % (AUDIT_SCHEMA_VERSION, report.get("schema"))
-        )
-    targets = report.get("targets")
-    if not isinstance(targets, list):
-        return problems + ["missing or non-array 'targets'"]
-    problems.extend(_validate_counts("report", report.get("counts")))
-    totals = {severity: 0 for severity in _SEVERITIES}
-    for target in targets:
-        if not isinstance(target, dict):
-            problems.append("targets must be objects")
-            continue
-        name = target.get("name")
-        if not isinstance(name, str):
-            problems.append("target needs a string 'name'")
-            name = "<unnamed>"
-        owner = "target %r" % name
-        sections = target.get("sections")
-        if not isinstance(sections, dict):
-            problems.append("%s needs a 'sections' object" % owner)
-            sections = {}
-        for key in sections:
-            if key not in AUDIT_SECTIONS:
-                problems.append("%s has unknown section %r" % (owner, key))
-        seen = {severity: 0 for severity in _SEVERITIES}
-        for section in AUDIT_SECTIONS:
-            diagnostics = sections.get(section, [])
-            if not isinstance(diagnostics, list):
-                problems.append(
-                    "%s section %r must be an array" % (owner, section)
-                )
-                continue
-            for dump in diagnostics:
-                problems.extend(
-                    _validate_diagnostic(owner, dump, prefixes=("AU",))
-                )
-                if isinstance(dump, dict) and dump.get("severity") in seen:
-                    seen[dump["severity"]] += 1
-        summary = target.get("summary")
-        if not isinstance(summary, dict):
-            problems.append("%s needs a 'summary' object" % owner)
-        else:
-            for key, value in summary.items():
-                if (
-                    not isinstance(value, int)
-                    or isinstance(value, bool)
-                    or value < 0
-                ):
-                    problems.append(
-                        "%s summary %r must be a non-negative integer"
-                        % (owner, key)
-                    )
-        problems.extend(_validate_counts(owner, target.get("counts")))
-        if isinstance(target.get("counts"), dict):
-            for severity in _SEVERITIES:
-                declared = target["counts"].get(severity)
-                if isinstance(declared, int) and declared != seen[severity]:
-                    problems.append(
-                        "%s declares %r %s findings but lists %d"
-                        % (owner, declared, severity, seen[severity])
-                    )
-                totals[severity] += seen[severity]
-    if isinstance(report.get("counts"), dict) and not problems:
-        for severity in _SEVERITIES:
-            if report["counts"].get(severity) != totals[severity]:
-                problems.append(
-                    "report declares %r %s findings but targets sum to %d"
-                    % (report["counts"].get(severity), severity, totals[severity])
-                )
-    return problems
+_AUDIT_DIAGNOSTICS = Field("array", of=_diagnostic("AU"), optional=True)
 
-
-def require_valid_audit_report(report: object) -> Dict[str, object]:
-    """Validate and return ``report``; raise ``ValueError`` otherwise."""
-    problems = validate_audit_report(report)
-    if problems:
-        raise ValueError("invalid audit report: %s" % "; ".join(problems))
-    return report  # type: ignore[return-value]
+#: The ``repro.audit/v1`` report (layout in the module docstring).
+AUDIT_REPORT_SCHEMA = _report_schema(
+    AUDIT_SCHEMA_VERSION,
+    "audit report",
+    "sections",
+    sections=Field(
+        "object", dict.fromkeys(AUDIT_SECTIONS, _AUDIT_DIAGNOSTICS), closed=True
+    ),
+    summary=Field("map", of=COUNT),
+)
 
 
 # ----------------------------------------------------------------------
@@ -340,125 +258,72 @@ def build_margins_report(report) -> Dict[str, object]:
     return dump
 
 
-def _validate_bound(owner: str, dump: Dict[str, object]) -> List[str]:
-    """Check one lower/upper pair (JSON floats or "inf"/"-inf")."""
-    from repro.core.robustness import float_from_json
-
-    problems = []
-    values = {}
-    for key in ("lower", "upper"):
-        raw = dump.get(key)
-        try:
-            value = float_from_json(raw)  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            problems.append("%s %r is not a margin bound: %r" % (owner, key, raw))
-            continue
-        if value != value:
-            problems.append("%s %r is NaN" % (owner, key))
-            continue
-        values[key] = value
-    if len(values) == 2 and values["lower"] > values["upper"]:
-        problems.append("%s bounds are inverted" % owner)
-    return problems
+def _ranked(seeds: Any, where: str) -> List[str]:
+    return [
+        "seed #%d declares rank %r (seeds must be ranked 1..n in order)"
+        % (expected, entry["rank"])
+        for expected, entry in enumerate(seeds, start=1)
+        if entry["rank"] != expected
+    ]
 
 
-def validate_margins_report(report: object) -> List[str]:
-    """All the ways ``report`` fails to be a valid margins report."""
-    if not isinstance(report, dict):
-        return ["report must be a JSON object, got %s" % type(report).__name__]
-    problems: List[str] = []
-    if report.get("schema") != MARGINS_SCHEMA_VERSION:
-        problems.append(
-            "schema must be %r, got %r"
-            % (MARGINS_SCHEMA_VERSION, report.get("schema"))
-        )
-    if not isinstance(report.get("name"), str):
-        problems.append("report needs a string 'name'")
-    for key in ("period", "threshold"):
-        value = report.get(key)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            problems.append("report %r must be a number" % key)
-        elif key == "period" and value <= 0:
-            problems.append("period must be positive")
-        elif key == "threshold" and value < 0:
-            problems.append("threshold must be non-negative")
-    for key in ("rules", "cells", "seeds"):
-        if not isinstance(report.get(key), list):
-            problems.append("report needs a %r array" % key)
-    if problems:
-        return problems
-    for entry in report["rules"]:
-        if not isinstance(entry, dict):
-            problems.append("rule entries must be objects")
-            continue
-        owner = "rule %r" % entry.get("rule")
-        if not isinstance(entry.get("rule"), str):
-            problems.append("rule entries need a string 'rule'")
-        if not isinstance(entry.get("provably_safe"), bool):
-            problems.append("%s needs a boolean 'provably_safe'" % owner)
-        problems.extend(_validate_bound(owner, entry))
-    for entry in report["cells"]:
-        if not isinstance(entry, dict):
-            problems.append("cell entries must be objects")
-            continue
-        owner = "cell %r x %r" % (entry.get("test"), entry.get("rule"))
-        for key in ("test", "kind", "rule"):
-            if not isinstance(entry.get(key), str):
-                problems.append("%s needs a string %r" % (owner, key))
-        targets = entry.get("targets")
-        if not (
-            isinstance(targets, list)
-            and all(isinstance(t, str) for t in targets)
-        ):
-            problems.append("%s needs a string array 'targets'" % owner)
-        for key in ("prunable", "doomed"):
-            if not isinstance(entry.get(key), bool):
-                problems.append("%s needs a boolean %r" % (owner, key))
-        problems.extend(_validate_bound(owner, entry))
-    for expected, entry in enumerate(report["seeds"], start=1):
-        if not isinstance(entry, dict):
-            problems.append("seed entries must be objects")
-            continue
-        owner = "seed #%d" % expected
-        if entry.get("rank") != expected:
-            problems.append(
-                "%s declares rank %r (seeds must be ranked 1..n in order)"
-                % (owner, entry.get("rank"))
-            )
-        for key in ("test", "rule"):
-            if not isinstance(entry.get(key), str):
-                problems.append("%s needs a string %r" % (owner, key))
-        problems.extend(_validate_bound(owner, entry))
-    summary = report.get("summary")
-    if not isinstance(summary, dict):
-        problems.append("report needs a 'summary' object")
-    else:
-        for key, value in summary.items():
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                problems.append(
-                    "summary %r must be a non-negative integer" % key
-                )
-        if not problems:
-            declared = {
-                "rules": len(report["rules"]),
-                "cells": len(report["cells"]),
-                "seeds": len(report["seeds"]),
-            }
-            for key, count in declared.items():
-                if summary.get(key) != count:
-                    problems.append(
-                        "summary declares %r %s but the report lists %d"
-                        % (summary.get(key), key, count)
-                    )
-    return problems
+def _summary(counted: Dict[str, int], summary: Dict[str, object]) -> List[str]:
+    return [
+        "summary declares %r %s but the report lists %d"
+        % (summary.get(key), key, count)
+        for key, count in counted.items()
+        if summary.get(key) != count
+    ]
 
 
-def require_valid_margins_report(report: object) -> Dict[str, object]:
-    """Validate and return ``report``; raise ``ValueError`` otherwise."""
-    problems = validate_margins_report(report)
-    if problems:
-        raise ValueError("invalid margins report: %s" % "; ".join(problems))
-    return report  # type: ignore[return-value]
+def _margins_summary(report: Any, where: str) -> List[str]:
+    counted = {key: len(report[key]) for key in ("rules", "cells", "seeds")}
+    return _summary(counted, report["summary"])
+
+
+def _bounded(fields: Dict[str, Field]) -> Field:
+    return Field(
+        "object", dict(fields, lower=BOUND, upper=BOUND), check=ordered_bounds
+    )
+
+
+_TEXT = Field("str")
+_FLAG = Field("bool")
+
+#: The ``repro.margins/v1`` report (layout in the comment above).
+MARGINS_REPORT_SCHEMA = Field(
+    "object",
+    {
+        "schema": tag(MARGINS_SCHEMA_VERSION),
+        "name": _TEXT,
+        "period": POSITIVE,
+        "threshold": Field("num", ge=0.0),
+        "rules": Field(
+            "array", of=_bounded({"rule": _TEXT, "provably_safe": _FLAG})
+        ),
+        "cells": Field(
+            "array",
+            of=_bounded(
+                {
+                    "test": _TEXT,
+                    "kind": _TEXT,
+                    "rule": _TEXT,
+                    "targets": STRINGS,
+                    "prunable": _FLAG,
+                    "doomed": _FLAG,
+                }
+            ),
+        ),
+        "seeds": Field(
+            "array",
+            of=_bounded({"rank": Field("int"), "test": _TEXT, "rule": _TEXT}),
+            check=_ranked,
+        ),
+        "summary": Field("map", of=COUNT),
+    },
+    check=_margins_summary,
+    title="margins report",
+)
 
 
 # ----------------------------------------------------------------------
@@ -504,148 +369,80 @@ def build_automata_report(report) -> Dict[str, object]:
     return dump
 
 
-def _validate_rule_automaton(entry: object) -> List[str]:
-    if not isinstance(entry, dict):
-        return ["rule entries must be objects"]
-    problems = []
-    owner = "rule %r" % entry.get("rule")
-    for key in ("rule", "name", "reason"):
-        if not isinstance(entry.get(key), str):
-            problems.append("%s needs a string %r" % (owner, key))
-    status = entry.get("status")
-    if status not in _AUTOMATA_STATUSES:
-        problems.append(
-            "%s status %r is not one of %s"
-            % (owner, status, "/".join(_AUTOMATA_STATUSES))
-        )
-    compiled = status == "ok"
-    klass = entry.get("class")
-    if compiled:
-        if klass not in _AUTOMATA_CLASSES:
-            problems.append(
-                "%s class %r is not one of %s"
-                % (owner, klass, "/".join(_AUTOMATA_CLASSES))
+def _compiled(entry: Any, where: str) -> List[str]:
+    """Certificate fields are present exactly when the rule compiled."""
+    if entry["status"] == "ok":
+        return [
+            "%s is compiled but has no %r" % (where, key)
+            for key in (
+                "class", "safety", "co_safety", "states", "letters",
+                "observability",
             )
-        for key in ("safety", "co_safety"):
-            if not isinstance(entry.get(key), bool):
-                problems.append("%s needs a boolean %r" % (owner, key))
-        for key in ("states", "letters"):
-            value = entry.get(key)
-            if (
-                not isinstance(value, int)
-                or isinstance(value, bool)
-                or value < 1
-            ):
-                problems.append(
-                    "%s %r must be a positive integer" % (owner, key)
-                )
-    elif klass is not None:
-        problems.append("%s is not compiled but declares a class" % owner)
-    for key in ("horizon_rows", "monitor_horizon_rows"):
-        value = entry.get(key)
-        if value is not None and (
-            not isinstance(value, int)
-            or isinstance(value, bool)
-            or value < 0
-        ):
-            problems.append(
-                "%s %r must be a non-negative integer or null" % (owner, key)
-            )
-    for key in ("satisfiable", "falsifiable"):
-        if entry.get(key) not in _TRI_STATE:
-            problems.append(
-                "%s %r must be one of %s"
-                % (owner, key, "/".join(_TRI_STATE))
-            )
-    atoms = entry.get("atoms")
-    if not (
-        isinstance(atoms, list) and all(isinstance(a, str) for a in atoms)
-    ):
-        problems.append("%s needs a string array 'atoms'" % owner)
-    observability = entry.get("observability")
-    if compiled:
-        if not isinstance(observability, dict):
-            problems.append("%s needs an 'observability' object" % owner)
-        else:
-            sets = {}
-            for key in ("referenced", "required", "droppable"):
-                names = observability.get(key)
-                if not (
-                    isinstance(names, list)
-                    and all(isinstance(n, str) for n in names)
-                ):
-                    problems.append(
-                        "%s observability %r must be a string array"
-                        % (owner, key)
-                    )
-                else:
-                    sets[key] = set(names)
-            if len(sets) == 3 and sets["required"] | sets["droppable"] != sets[
-                "referenced"
-            ]:
-                problems.append(
-                    "%s observability sets do not partition 'referenced'"
-                    % owner
-                )
-    elif observability is not None:
-        problems.append(
-            "%s is not compiled but declares observability" % owner
-        )
-    return problems
+            if entry.get(key) is None
+        ]
+    return [
+        "%s is not compiled but declares %s" % (where, what)
+        for key, what in (("class", "a class"), ("observability", "observability"))
+        if entry.get(key) is not None
+    ]
 
 
-def validate_automata_report(report: object) -> List[str]:
-    """All the ways ``report`` fails to be a valid automata report."""
-    if not isinstance(report, dict):
-        return ["report must be a JSON object, got %s" % type(report).__name__]
-    problems: List[str] = []
-    if report.get("schema") != AUTOMATA_SCHEMA_VERSION:
-        problems.append(
-            "schema must be %r, got %r"
-            % (AUTOMATA_SCHEMA_VERSION, report.get("schema"))
-        )
-    if not isinstance(report.get("name"), str):
-        problems.append("report needs a string 'name'")
-    period = report.get("period")
-    if not isinstance(period, (int, float)) or isinstance(period, bool):
-        problems.append("report 'period' must be a number")
-    elif period <= 0:
-        problems.append("period must be positive")
-    rules = report.get("rules")
-    if not isinstance(rules, list):
-        return problems + ["report needs a 'rules' array"]
+def _automata_summary(report: Any, where: str) -> List[str]:
     counted = {key: 0 for key in _AUTOMATA_SUMMARY_KEYS}
-    counted["rules"] = len(rules)
-    for entry in rules:
-        problems.extend(_validate_rule_automaton(entry))
-        if not isinstance(entry, dict):
-            continue
-        if entry.get("status") != "ok":
+    counted["rules"] = len(report["rules"])
+    for entry in report["rules"]:
+        if entry["status"] != "ok":
             counted["unsupported"] += 1
-        elif entry.get("class") in _AUTOMATA_CLASSES:
+        else:
             counted[entry["class"]] += 1
-    summary = report.get("summary")
-    if not isinstance(summary, dict):
-        problems.append("report needs a 'summary' object")
-    else:
-        for key, value in summary.items():
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                problems.append(
-                    "summary %r must be a non-negative integer" % key
-                )
-        if not problems:
-            for key in _AUTOMATA_SUMMARY_KEYS:
-                if summary.get(key) != counted[key]:
-                    problems.append(
-                        "summary declares %r %s but the report lists %d"
-                        % (summary.get(key), key, counted[key])
-                    )
-    return problems
+    return _summary(counted, report["summary"])
 
 
-def require_valid_automata_report(report: object) -> Dict[str, object]:
-    """Validate and return ``report``; raise ``ValueError`` otherwise."""
-    problems = validate_automata_report(report)
-    if problems:
-        raise ValueError("invalid automata report: %s" % "; ".join(problems))
-    return report  # type: ignore[return-value]
+def _certificate(kind: str, **constraints: Any) -> Field:
+    return Field(kind, nullable=True, optional=True, **constraints)
+
+
+_TRI = Field("str", enum=_TRI_STATE)
+
+#: The ``repro.automata/v1`` report (layout in the comment above).
+AUTOMATA_REPORT_SCHEMA = Field(
+    "object",
+    {
+        "schema": tag(AUTOMATA_SCHEMA_VERSION),
+        "name": _TEXT,
+        "period": POSITIVE,
+        "rules": Field(
+            "array",
+            of=Field(
+                "object",
+                {
+                    "rule": _TEXT,
+                    "name": _TEXT,
+                    "reason": _TEXT,
+                    "status": Field("str", enum=_AUTOMATA_STATUSES),
+                    "class": _certificate("str", enum=_AUTOMATA_CLASSES),
+                    "safety": _certificate("bool"),
+                    "co_safety": _certificate("bool"),
+                    "horizon_rows": _certificate("int", ge=0),
+                    "monitor_horizon_rows": _certificate("int", ge=0),
+                    "states": _certificate("int", gt=0),
+                    "letters": _certificate("int", gt=0),
+                    "satisfiable": _TRI,
+                    "falsifiable": _TRI,
+                    "atoms": STRINGS,
+                    "observability": Field(
+                        "object",
+                        SIGNAL_SETS,
+                        nullable=True,
+                        optional=True,
+                        check=partition,
+                    ),
+                },
+                check=_compiled,
+            ),
+        ),
+        "summary": Field("map", of=COUNT),
+    },
+    check=_automata_summary,
+    title="automata report",
+)

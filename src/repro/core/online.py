@@ -259,10 +259,14 @@ class OnlineMonitor:
         signals are buffered.  A referenced-signal event older than the
         retention frontier is dropped and counted (``online.late_events``)
         instead of being buffered — its row has already been emitted or
-        trimmed, so it can no longer influence any verdict.
+        trimmed, so it can no longer influence any verdict.  A
+        non-finite timestamp raises :class:`TraceError` before any state
+        changes.
         """
         if self._finished:
             raise TraceError("monitor already finished")
+        if not math.isfinite(timestamp):
+            raise TraceError("non-finite event timestamp %r" % (timestamp,))
         if self._start_time is None:
             self._start_time = timestamp
         self._latest = max(self._latest, timestamp)

@@ -19,15 +19,12 @@ from repro.fleet.replay import (
     replay_traces_async,
 )
 from repro.fleet.rollup import fleet_rollup
-from repro.fleet.schema import (
-    FLEET_SCHEMA_VERSION,
-    require_valid_fleet_snapshot,
-    validate_fleet_snapshot,
-)
+from repro.fleet.schema import FLEET_SCHEMA, FLEET_SCHEMA_VERSION
 from repro.fleet.service import POLICIES, FleetReport, FleetService
 from repro.fleet.shard import StreamEvent, StreamShard
 
 __all__ = [
+    "FLEET_SCHEMA",
     "FLEET_SCHEMA_VERSION",
     "POLICIES",
     "FleetReport",
@@ -41,6 +38,4 @@ __all__ = [
     "replay_directory",
     "replay_traces",
     "replay_traces_async",
-    "require_valid_fleet_snapshot",
-    "validate_fleet_snapshot",
 ]

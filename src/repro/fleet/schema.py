@@ -55,210 +55,106 @@ observable-signal set unioned over the shard's rules
 unions the reporting streams — a signal is fleet-droppable only when no
 stream requires it.
 
-Per-stream ``metrics`` are full ``repro.obs/v1`` snapshots (validated by
-:func:`repro.obs.validate_snapshot`); the fleet-level ``metrics`` object
-is their associative merge plus the service's own counters, so totals
-are independent of the order streams were rolled up in.
+Per-stream ``metrics`` are full ``repro.obs/v1`` snapshots (the
+declaration nests :data:`repro.obs.schema.SNAPSHOT_SCHEMA`); the
+fleet-level ``metrics`` object is their associative merge plus the
+service's own counters, so totals are independent of the order streams
+were rolled up in.  Check a rollup with
+``repro.schema.validate(rollup, FLEET_SCHEMA)``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Any, List
 
-from repro.obs import validate_snapshot
-from repro.obs.schema import _is_count, _is_number
+from repro.obs.schema import SNAPSHOT_SCHEMA
+from repro.schema import (
+    BOUND,
+    COUNT,
+    POSITIVE,
+    SIGNAL_SETS,
+    Field,
+    ordered_bounds,
+    partition,
+    tag,
+)
 
 #: Rollup format identifier; bump when the JSON layout changes.
 FLEET_SCHEMA_VERSION = "repro.fleet/v1"
 
-#: Counter fields every per-stream entry must carry.
-_STREAM_COUNTS = (
-    "events",
-    "chunks",
-    "rows_emitted",
-    "violations",
-    "late_events",
-    "emit_waits",
-    "peak_buffer_rows",
-    "max_buffer_rows",
+_MARGINS = Field(
+    "map",
+    of=Field("object", {"lower": BOUND, "upper": BOUND}, check=ordered_bounds),
+    nullable=True,
+    optional=True,
 )
 
-#: Counter fields the fleet-level section must carry.
-_FLEET_COUNTS = (
-    "streams",
-    "events",
-    "chunks",
-    "violations",
-    "late_events",
-    "peak_buffer_rows",
+_OBSERVABILITY = Field(
+    "object",
+    dict(SIGNAL_SETS, bandwidth_hint=Field("num", ge=0.0, le=1.0)),
+    nullable=True,
+    optional=True,
+    check=partition,
+)
+
+#: Counters carried by every stream entry and by the fleet section.
+_COUNTS = ("events", "chunks", "violations", "late_events", "peak_buffer_rows")
+
+_STREAM = Field(
+    "object",
+    {
+        **dict.fromkeys(
+            _COUNTS + ("rows_emitted", "emit_waits", "max_buffer_rows"), COUNT
+        ),
+        "stream": Field("str"),
+        "decision_latency": POSITIVE,
+        "finished": Field("bool"),
+        "letters": Field(
+            "map", of=Field("str", enum=("S", "V")), nullable=True, optional=True
+        ),
+        "margins": _MARGINS,
+        "observability": _OBSERVABILITY,
+        "metrics": SNAPSHOT_SCHEMA,
+    },
 )
 
 
-def validate_fleet_snapshot(snapshot: object) -> List[str]:
-    """All the ways ``snapshot`` fails to be a valid fleet rollup.
+def _echo(streams: Any, where: str) -> List[str]:
+    return [
+        "stream %r 'stream' field is %r (must echo its key)"
+        % (stream_id, entry["stream"])
+        for stream_id, entry in streams.items()
+        if entry["stream"] != stream_id
+    ]
 
-    Returns an empty list when the document conforms to the
-    ``repro.fleet/v1`` format described in the module docstring.
-    """
-    problems: List[str] = []
-    if not isinstance(snapshot, dict):
-        return ["rollup must be a JSON object, got %s" % type(snapshot).__name__]
-    if snapshot.get("schema") != FLEET_SCHEMA_VERSION:
-        problems.append(
-            "schema must be %r, got %r"
-            % (FLEET_SCHEMA_VERSION, snapshot.get("schema"))
-        )
-    streams = snapshot.get("streams")
-    if not isinstance(streams, dict):
-        problems.append("missing or non-object section 'streams'")
-    fleet = snapshot.get("fleet")
-    if not isinstance(fleet, dict):
-        problems.append("missing or non-object section 'fleet'")
-    if problems:
-        return problems
 
-    for stream_id, entry in streams.items():
-        problems.extend(_validate_stream(stream_id, entry))
-
-    for key in _FLEET_COUNTS:
-        if not _is_count(fleet.get(key)):
-            problems.append(
-                "fleet %r must be a non-negative integer, got %r"
-                % (key, fleet.get(key))
-            )
-    if _is_count(fleet.get("streams")) and fleet["streams"] != len(streams):
-        problems.append(
+def _stream_count(rollup: Any, where: str) -> List[str]:
+    fleet, streams = rollup["fleet"], rollup["streams"]
+    if fleet["streams"] != len(streams):
+        return [
             "fleet 'streams' is %d but %d stream entries are present"
             % (fleet["streams"], len(streams))
-        )
-    problems.extend(_validate_margins("fleet", fleet.get("margins")))
-    problems.extend(
-        _validate_observability("fleet", fleet.get("observability"))
-    )
-    backpressure = fleet.get("backpressure")
-    if not isinstance(backpressure, dict):
-        problems.append("fleet needs a 'backpressure' object")
-    else:
-        for key in ("dropped", "blocked"):
-            if not _is_count(backpressure.get(key)):
-                problems.append(
-                    "backpressure %r must be a non-negative integer, got %r"
-                    % (key, backpressure.get(key))
-                )
-    problems.extend(
-        "fleet metrics: %s" % problem
-        for problem in validate_snapshot(fleet.get("metrics"))
-    )
-    return problems
+        ]
+    return []
 
 
-def _validate_margins(where: str, margins: object) -> List[str]:
-    """``margins`` blocks are null or per-rule {lower, upper} bounds."""
-    from repro.core.robustness import float_from_json
-
-    if margins is None:
-        return []
-    if not isinstance(margins, dict):
-        return ["%s 'margins' must be null or an object" % where]
-    problems: List[str] = []
-    for rule_id, bounds in margins.items():
-        owner = "%s margins %r" % (where, rule_id)
-        if not isinstance(rule_id, str) or not isinstance(bounds, dict):
-            problems.append("%s must map rule ids to bound objects" % owner)
-            continue
-        try:
-            lower = float_from_json(bounds.get("lower"))
-            upper = float_from_json(bounds.get("upper"))
-        except ValueError as error:
-            problems.append("%s: %s" % (owner, error))
-            continue
-        if lower is None or upper is None:
-            problems.append("%s needs 'lower' and 'upper' bounds" % owner)
-        elif lower > upper:
-            problems.append(
-                "%s bounds are inverted: [%r, %r]" % (owner, lower, upper)
-            )
-    return problems
-
-
-def _validate_observability(where: str, block: object) -> List[str]:
-    """``observability`` blocks are null or the signal-set partition."""
-    if block is None:
-        return []
-    if not isinstance(block, dict):
-        return ["%s 'observability' must be null or an object" % where]
-    problems: List[str] = []
-    sets: Dict[str, set] = {}
-    for key in ("referenced", "required", "droppable"):
-        names = block.get(key)
-        if not (
-            isinstance(names, list)
-            and all(isinstance(name, str) for name in names)
-        ):
-            problems.append(
-                "%s observability %r must be a string array" % (where, key)
-            )
-        else:
-            sets[key] = set(names)
-    if (
-        len(sets) == 3
-        and sets["required"] | sets["droppable"] != sets["referenced"]
-    ):
-        problems.append(
-            "%s observability sets do not partition 'referenced'" % where
-        )
-    hint = block.get("bandwidth_hint")
-    if not _is_number(hint) or not 0.0 <= hint <= 1.0:
-        problems.append(
-            "%s observability 'bandwidth_hint' must be a number in [0, 1]"
-            % where
-        )
-    return problems
-
-
-def _validate_stream(stream_id: str, entry: object) -> List[str]:
-    where = "stream %r" % stream_id
-    if not isinstance(entry, dict):
-        return ["%s must be an object" % where]
-    problems: List[str] = []
-    if entry.get("stream") != stream_id:
-        problems.append(
-            "%s 'stream' field is %r (must echo its key)"
-            % (where, entry.get("stream"))
-        )
-    for key in _STREAM_COUNTS:
-        if not _is_count(entry.get(key)):
-            problems.append(
-                "%s %r must be a non-negative integer, got %r"
-                % (where, key, entry.get(key))
-            )
-    if not _is_number(entry.get("decision_latency")) or entry["decision_latency"] <= 0:
-        problems.append("%s needs a positive numeric 'decision_latency'" % where)
-    if not isinstance(entry.get("finished"), bool):
-        problems.append("%s needs a boolean 'finished'" % where)
-    letters = entry.get("letters")
-    if letters is not None:
-        if not isinstance(letters, dict) or not all(
-            isinstance(rule_id, str) and letter in ("S", "V")
-            for rule_id, letter in letters.items()
-        ):
-            problems.append(
-                "%s 'letters' must be null or an object of 'S'/'V'" % where
-            )
-    problems.extend(_validate_margins(where, entry.get("margins")))
-    problems.extend(
-        _validate_observability(where, entry.get("observability"))
-    )
-    problems.extend(
-        "%s metrics: %s" % (where, problem)
-        for problem in validate_snapshot(entry.get("metrics"))
-    )
-    return problems
-
-
-def require_valid_fleet_snapshot(snapshot: object) -> Dict[str, object]:
-    """Validate and return ``snapshot``; raise ``ValueError`` otherwise."""
-    problems = validate_fleet_snapshot(snapshot)
-    if problems:
-        raise ValueError("invalid fleet rollup: %s" % "; ".join(problems))
-    return snapshot  # type: ignore[return-value]
+#: The ``repro.fleet/v1`` rollup (layout in the module docstring).
+FLEET_SCHEMA = Field(
+    "object",
+    {
+        "schema": tag(FLEET_SCHEMA_VERSION),
+        "streams": Field("map", of=_STREAM, check=_echo),
+        "fleet": Field(
+            "object",
+            {
+                **dict.fromkeys(("streams",) + _COUNTS, COUNT),
+                "margins": _MARGINS,
+                "observability": _OBSERVABILITY,
+                "backpressure": Field("object", {"dropped": COUNT, "blocked": COUNT}),
+                "metrics": SNAPSHOT_SCHEMA,
+            },
+        ),
+    },
+    check=_stream_count,
+    title="fleet rollup",
+)

@@ -33,11 +33,13 @@ Either way the service's memory stays bounded: per stream, at most
 from __future__ import annotations
 
 import asyncio
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.monitor import DEFAULT_PERIOD, MonitorReport, Rule
 from repro.core.statemachine import StateMachine
+from repro.errors import TraceError
 from repro.fleet.rollup import fleet_rollup
 from repro.fleet.shard import StreamShard
 from repro.obs import MetricsRegistry
@@ -205,9 +207,13 @@ class FleetService:
 
         Applies the backpressure policy when the stream's inbox is full:
         ``block`` awaits space, ``drop`` discards the event (counted).
+        A non-finite timestamp raises :class:`TraceError` here, before
+        the event reaches (and would kill) the stream's worker.
         """
         if self._closed:
             raise RuntimeError("fleet service already closed")
+        if not math.isfinite(timestamp):
+            raise TraceError("non-finite event timestamp %r" % (timestamp,))
         inbox = self._ensure_worker(stream_id)
         event = (timestamp, signal, value)
         self.registry.counter("fleet.events_submitted").inc()

@@ -8,27 +8,29 @@ campaign-level report.  See :mod:`repro.obs.metrics` for the instruments
 and :mod:`repro.obs.schema` for the JSON snapshot format.
 """
 
-from repro.obs.bench import BENCH_SCHEMA_VERSION, bench_monitor, format_bench
+from repro.obs.bench import (
+    BENCH_SCHEMA,
+    BENCH_SCHEMA_VERSION,
+    bench_monitor,
+    format_bench,
+)
 from repro.obs.bench_batch import (
+    BATCH_BENCH_SCHEMA,
     BATCH_BENCH_SCHEMA_VERSION,
     bench_batch,
     format_batch_bench,
-    require_valid_batch_bench_snapshot,
-    validate_batch_bench_snapshot,
 )
 from repro.obs.bench_online import (
+    ONLINE_BENCH_SCHEMA,
     ONLINE_BENCH_SCHEMA_VERSION,
     bench_online,
     format_online_bench,
-    require_valid_online_bench_snapshot,
-    validate_online_bench_snapshot,
 )
 from repro.obs.bench_robustness import (
+    ROBUSTNESS_BENCH_SCHEMA,
     ROBUSTNESS_BENCH_SCHEMA_VERSION,
     bench_robustness,
     format_robustness_bench,
-    require_valid_robustness_bench_snapshot,
-    validate_robustness_bench_snapshot,
 )
 from repro.obs.metrics import (
     SCHEMA_VERSION,
@@ -43,19 +45,19 @@ from repro.obs.metrics import (
     set_registry,
     use_registry,
 )
-from repro.obs.schema import (
-    require_valid_bench_snapshot,
-    require_valid_snapshot,
-    validate_bench_snapshot,
-    validate_snapshot,
-)
+from repro.obs.schema import SNAPSHOT_SCHEMA
 
 __all__ = [
+    "BATCH_BENCH_SCHEMA",
     "BATCH_BENCH_SCHEMA_VERSION",
+    "BENCH_SCHEMA",
     "BENCH_SCHEMA_VERSION",
+    "ONLINE_BENCH_SCHEMA",
     "ONLINE_BENCH_SCHEMA_VERSION",
+    "ROBUSTNESS_BENCH_SCHEMA",
     "ROBUSTNESS_BENCH_SCHEMA_VERSION",
     "SCHEMA_VERSION",
+    "SNAPSHOT_SCHEMA",
     "Counter",
     "Gauge",
     "Histogram",
@@ -74,14 +76,4 @@ __all__ = [
     "format_bench",
     "format_online_bench",
     "format_robustness_bench",
-    "require_valid_batch_bench_snapshot",
-    "require_valid_bench_snapshot",
-    "require_valid_online_bench_snapshot",
-    "require_valid_robustness_bench_snapshot",
-    "require_valid_snapshot",
-    "validate_batch_bench_snapshot",
-    "validate_bench_snapshot",
-    "validate_online_bench_snapshot",
-    "validate_robustness_bench_snapshot",
-    "validate_snapshot",
 ]

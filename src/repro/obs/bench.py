@@ -2,9 +2,9 @@
 
 One snapshot format (``repro.bench.monitor/v1``) shared by the full
 benchmark suite (``benchmarks/test_bench_monitor_perf.py`` publishes
-``results/BENCH_monitor.json``) and the CI perf-smoke gate
-(``benchmarks/perf_smoke.py`` reruns a reduced-scale sweep and compares
-against the committed baseline)::
+``results/BENCH_monitor.json``) and the CI bench gate
+(``benchmarks/gate.py monitor`` reruns a reduced-scale sweep and
+compares against the committed baseline)::
 
     {
       "schema": "repro.bench.monitor/v1",
@@ -27,7 +27,8 @@ against the committed baseline)::
 Speedups are same-machine ratios, which is what makes them comparable
 across hosts: absolute rows/s varies wildly between laptops and CI
 runners, but "the O(n) kernel is k-times the O(n*w) kernel on identical
-input" does not.
+input" does not.  :data:`BENCH_SCHEMA` declares the layout for
+:func:`repro.schema.validate`.
 """
 
 from __future__ import annotations
@@ -37,8 +38,47 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from repro.schema import POSITIVE, POSITIVE_INT, Field, tag
+
 #: Schema tag carried by every bench snapshot.
 BENCH_SCHEMA_VERSION = "repro.bench.monitor/v1"
+
+#: The ``repro.bench.monitor/v1`` layout (see the module docstring).
+BENCH_SCHEMA = Field(
+    "object",
+    {
+        "schema": tag(BENCH_SCHEMA_VERSION),
+        "rows": POSITIVE_INT,
+        "period": POSITIVE,
+        "sweep": Field(
+            "array",
+            of=Field(
+                "object",
+                {
+                    "width_rows": POSITIVE_INT,
+                    "kernel": Field("str", enum=("block", "strided")),
+                    "seconds": POSITIVE,
+                    "rows_per_second": POSITIVE,
+                },
+            ),
+            min_items=1,
+        ),
+        "memo": Field(
+            "array",
+            of=Field(
+                "object",
+                {
+                    "memo": Field("bool"),
+                    "seconds": POSITIVE,
+                    "rows_per_second": POSITIVE,
+                },
+            ),
+            min_items=1,
+        ),
+        "speedups": Field("map", of=POSITIVE, min_items=1),
+    },
+    title="bench snapshot",
+)
 
 #: The paper's fast message period.
 _PERIOD = 0.02

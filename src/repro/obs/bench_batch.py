@@ -1,9 +1,9 @@
 """Machine-readable batched-checking benchmarks
 (``repro.bench.batch/v1``).
 
-One snapshot format shared by the committed baseline
-(``results/BENCH_batch.json``) and the CI batch-smoke gate
-(``benchmarks/batch_smoke.py``)::
+One snapshot format, declared as :data:`BATCH_BENCH_SCHEMA`, shared by
+the committed baseline (``results/BENCH_batch.json``) and the CI bench
+gate (``benchmarks/gate.py batch``)::
 
     {
       "schema": "repro.bench.batch/v1",
@@ -57,8 +57,36 @@ import tempfile
 import time
 from typing import Dict, List
 
+from repro.schema import POSITIVE, POSITIVE_INT, Field, tag
+
 #: Schema tag carried by every batch bench snapshot.
 BATCH_BENCH_SCHEMA_VERSION = "repro.bench.batch/v1"
+
+#: The ``repro.bench.batch/v1`` layout (see the module docstring).
+BATCH_BENCH_SCHEMA = Field(
+    "object",
+    {
+        "schema": tag(BATCH_BENCH_SCHEMA_VERSION),
+        "period": POSITIVE,
+        **dict.fromkeys(("traces", "rows_total", "rules"), POSITIVE_INT),
+        "runs": Field(
+            "object",
+            dict.fromkeys(
+                ("per_trace_seconds", "batch_seconds", "pack_seconds"), POSITIVE
+            ),
+        ),
+        "bytes": Field(
+            "object", dict.fromkeys(("trace_pickle", "store_handle"), POSITIVE_INT)
+        ),
+        "ratios": Field(
+            "object", dict.fromkeys(("speedup", "pickle_collapse"), POSITIVE)
+        ),
+        # A batch bench whose letters diverge from the per-trace loop is
+        # meaningless.
+        "identical": Field("bool", enum=(True,)),
+    },
+    title="batch bench snapshot",
+)
 
 _PERIOD = 0.02
 
@@ -175,71 +203,6 @@ def bench_batch(
         },
         "identical": identical,
     }
-
-
-# ----------------------------------------------------------------------
-# Validation
-# ----------------------------------------------------------------------
-
-
-def validate_batch_bench_snapshot(snapshot: object) -> List[str]:
-    """All the ways ``snapshot`` fails to be a valid batch bench dump."""
-    from repro.obs.schema import _is_count, _is_number
-
-    problems: List[str] = []
-    if not isinstance(snapshot, dict):
-        return [
-            "snapshot must be a JSON object, got %s" % type(snapshot).__name__
-        ]
-    if snapshot.get("schema") != BATCH_BENCH_SCHEMA_VERSION:
-        problems.append(
-            "schema must be %r, got %r"
-            % (BATCH_BENCH_SCHEMA_VERSION, snapshot.get("schema"))
-        )
-    if not _is_number(snapshot.get("period")) or snapshot.get("period", 0) <= 0:
-        problems.append("needs a positive numeric 'period'")
-    for key in ("traces", "rows_total", "rules"):
-        if not _is_count(snapshot.get(key)) or not snapshot.get(key):
-            problems.append("needs a positive integer %r" % key)
-    runs = snapshot.get("runs")
-    if not isinstance(runs, dict):
-        problems.append("missing or non-object section 'runs'")
-    else:
-        for key in ("per_trace_seconds", "batch_seconds", "pack_seconds"):
-            if not _is_number(runs.get(key)) or runs.get(key, 0) <= 0:
-                problems.append(
-                    "runs %r must be a positive number" % key
-                )
-    sizes = snapshot.get("bytes")
-    if not isinstance(sizes, dict):
-        problems.append("missing or non-object section 'bytes'")
-    else:
-        for key in ("trace_pickle", "store_handle"):
-            if not _is_count(sizes.get(key)) or not sizes.get(key):
-                problems.append("bytes %r must be a positive integer" % key)
-    ratios = snapshot.get("ratios")
-    if not isinstance(ratios, dict):
-        problems.append("missing or non-object section 'ratios'")
-    else:
-        for key in ("speedup", "pickle_collapse"):
-            if not _is_number(ratios.get(key)) or ratios.get(key, 0) <= 0:
-                problems.append("ratio %r must be a positive number" % key)
-    if snapshot.get("identical") is not True:
-        problems.append(
-            "'identical' must be true — a batch bench whose letters "
-            "diverge from the per-trace loop is meaningless"
-        )
-    return problems
-
-
-def require_valid_batch_bench_snapshot(snapshot: object) -> Dict[str, object]:
-    """Validate and return a snapshot; raise ``ValueError`` otherwise."""
-    problems = validate_batch_bench_snapshot(snapshot)
-    if problems:
-        raise ValueError(
-            "invalid batch bench snapshot: %s" % "; ".join(problems)
-        )
-    return snapshot  # type: ignore[return-value]
 
 
 def format_batch_bench(snapshot: Dict[str, object]) -> str:

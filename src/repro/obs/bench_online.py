@@ -1,8 +1,8 @@
 """Machine-readable online-monitor benchmarks (``repro.bench.online/v1``).
 
-One snapshot format shared by the committed baseline
-(``results/BENCH_online.json``) and the CI fleet-smoke gate
-(``benchmarks/fleet_smoke.py``)::
+One snapshot format, declared as :data:`ONLINE_BENCH_SCHEMA`, shared by
+the committed baseline (``results/BENCH_online.json``) and the CI bench
+gate (``benchmarks/gate.py online``)::
 
     {
       "schema": "repro.bench.online/v1",
@@ -40,12 +40,61 @@ stream does not change throughput or peak buffer" does not):
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Sequence
+from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
+from repro.schema import COUNT, POSITIVE, Field, tag
+
 #: Schema tag carried by every online bench snapshot.
 ONLINE_BENCH_SCHEMA_VERSION = "repro.bench.online/v1"
+
+
+def _memory_bound(entry: Any, where: str) -> List[str]:
+    if entry["peak_span_rows"] > entry["max_buffer_rows"]:
+        return [
+            "%s breaks the memory bound: peak span %d > %d"
+            % (where, entry["peak_span_rows"], entry["max_buffer_rows"])
+        ]
+    return []
+
+
+#: The ``repro.bench.online/v1`` layout (see the module docstring).
+ONLINE_BENCH_SCHEMA = Field(
+    "object",
+    {
+        "schema": tag(ONLINE_BENCH_SCHEMA_VERSION),
+        "period": POSITIVE,
+        "rows_base": COUNT,
+        "runs": Field(
+            "array",
+            of=Field(
+                "object",
+                {
+                    **dict.fromkeys(
+                        ("scale", "events", "peak_span_rows", "max_buffer_rows"),
+                        COUNT,
+                    ),
+                    **dict.fromkeys(("seconds", "events_per_second"), POSITIVE),
+                },
+                check=_memory_bound,
+            ),
+            min_items=2,
+        ),
+        "fleet": Field(
+            "object",
+            {
+                **dict.fromkeys(("streams", "events", "peak_buffer_rows"), COUNT),
+                **dict.fromkeys(("seconds", "events_per_second"), POSITIVE),
+            },
+        ),
+        "ratios": Field(
+            "object",
+            {"throughput_flatness": POSITIVE, "buffer_flatness": POSITIVE},
+        ),
+    },
+    title="online bench snapshot",
+)
 
 _PERIOD = 0.02
 
@@ -206,85 +255,6 @@ def _bench_fleet(
         "events_per_second": fleet["events"] / seconds,
         "peak_buffer_rows": int(fleet["peak_buffer_rows"]),
     }
-
-
-# ----------------------------------------------------------------------
-# Validation
-# ----------------------------------------------------------------------
-
-
-def validate_online_bench_snapshot(snapshot: object) -> List[str]:
-    """All the ways ``snapshot`` fails to be a valid online bench dump."""
-    from repro.obs.schema import _is_count, _is_number
-
-    problems: List[str] = []
-    if not isinstance(snapshot, dict):
-        return ["snapshot must be a JSON object, got %s" % type(snapshot).__name__]
-    if snapshot.get("schema") != ONLINE_BENCH_SCHEMA_VERSION:
-        problems.append(
-            "schema must be %r, got %r"
-            % (ONLINE_BENCH_SCHEMA_VERSION, snapshot.get("schema"))
-        )
-    if not _is_number(snapshot.get("period")) or snapshot.get("period", 0) <= 0:
-        problems.append("needs a positive numeric 'period'")
-    if not _is_count(snapshot.get("rows_base")):
-        problems.append("needs a non-negative integer 'rows_base'")
-    runs = snapshot.get("runs")
-    if not isinstance(runs, list) or len(runs) < 2:
-        problems.append("'runs' must list at least two scales")
-        runs = []
-    for index, entry in enumerate(runs):
-        where = "runs[%d]" % index
-        if not isinstance(entry, dict):
-            problems.append("%s must be an object" % where)
-            continue
-        for key in ("scale", "events", "peak_span_rows", "max_buffer_rows"):
-            if not _is_count(entry.get(key)):
-                problems.append(
-                    "%s %r must be a non-negative integer" % (where, key)
-                )
-        for key in ("seconds", "events_per_second"):
-            if not _is_number(entry.get(key)) or entry.get(key, 0) <= 0:
-                problems.append("%s %r must be a positive number" % (where, key))
-        if (
-            _is_count(entry.get("peak_span_rows"))
-            and _is_count(entry.get("max_buffer_rows"))
-            and entry["peak_span_rows"] > entry["max_buffer_rows"]
-        ):
-            problems.append(
-                "%s breaks the memory bound: peak span %d > %d"
-                % (where, entry["peak_span_rows"], entry["max_buffer_rows"])
-            )
-    fleet = snapshot.get("fleet")
-    if not isinstance(fleet, dict):
-        problems.append("missing or non-object section 'fleet'")
-    else:
-        for key in ("streams", "events", "peak_buffer_rows"):
-            if not _is_count(fleet.get(key)):
-                problems.append(
-                    "fleet %r must be a non-negative integer" % key
-                )
-        for key in ("seconds", "events_per_second"):
-            if not _is_number(fleet.get(key)) or fleet.get(key, 0) <= 0:
-                problems.append("fleet %r must be a positive number" % key)
-    ratios = snapshot.get("ratios")
-    if not isinstance(ratios, dict):
-        problems.append("missing or non-object section 'ratios'")
-    else:
-        for key in ("throughput_flatness", "buffer_flatness"):
-            if not _is_number(ratios.get(key)) or ratios.get(key, 0) <= 0:
-                problems.append("ratio %r must be a positive number" % key)
-    return problems
-
-
-def require_valid_online_bench_snapshot(snapshot: object) -> Dict[str, object]:
-    """Validate and return a snapshot; raise ``ValueError`` otherwise."""
-    problems = validate_online_bench_snapshot(snapshot)
-    if problems:
-        raise ValueError(
-            "invalid online bench snapshot: %s" % "; ".join(problems)
-        )
-    return snapshot  # type: ignore[return-value]
 
 
 def format_online_bench(snapshot: Dict[str, object]) -> str:

@@ -1,9 +1,9 @@
 """Machine-readable robustness-evaluator benchmarks
 (``repro.bench.robustness/v1``).
 
-One snapshot format shared by the committed baseline
-(``results/BENCH_robustness.json``) and the CI robustness-smoke gate
-(``benchmarks/robustness_smoke.py``)::
+One snapshot format, declared as :data:`ROBUSTNESS_BENCH_SCHEMA`, shared
+by the committed baseline (``results/BENCH_robustness.json``) and the
+CI bench gate (``benchmarks/gate.py robustness``)::
 
     {
       "schema": "repro.bench.robustness/v1",
@@ -41,12 +41,54 @@ window width" does not:
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Sequence
+from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
+from repro.schema import COUNT, POSITIVE, POSITIVE_INT, Field, tag
+
 #: Schema tag carried by every robustness bench snapshot.
 ROBUSTNESS_BENCH_SCHEMA_VERSION = "repro.bench.robustness/v1"
+
+
+def _increasing_widths(runs: Any, where: str) -> List[str]:
+    return [
+        "%s[%d] widths must be strictly increasing" % (where, index)
+        for index in range(1, len(runs))
+        if runs[index]["width_rows"] <= runs[index - 1]["width_rows"]
+    ]
+
+
+#: The ``repro.bench.robustness/v1`` layout (see the module docstring).
+ROBUSTNESS_BENCH_SCHEMA = Field(
+    "object",
+    {
+        "schema": tag(ROBUSTNESS_BENCH_SCHEMA_VERSION),
+        "period": POSITIVE,
+        "rows": POSITIVE_INT,
+        "runs": Field(
+            "array",
+            of=Field(
+                "object",
+                {
+                    "width_rows": COUNT,
+                    "bool_seconds": POSITIVE,
+                    "robust_seconds": POSITIVE,
+                    "bool_rows_per_second": POSITIVE,
+                    "robust_rows_per_second": POSITIVE,
+                    "overhead": POSITIVE,
+                },
+            ),
+            min_items=2,
+            check=_increasing_widths,
+        ),
+        "ratios": Field(
+            "object",
+            {"overhead_widest": POSITIVE, "overhead_flatness": POSITIVE},
+        ),
+    },
+    title="robustness bench snapshot",
+)
 
 _PERIOD = 0.02
 
@@ -146,79 +188,6 @@ def bench_robustness(
         "runs": runs,
         "ratios": ratios,
     }
-
-
-# ----------------------------------------------------------------------
-# Validation
-# ----------------------------------------------------------------------
-
-
-def validate_robustness_bench_snapshot(snapshot: object) -> List[str]:
-    """All the ways ``snapshot`` fails to be a valid robustness bench
-    dump."""
-    from repro.obs.schema import _is_count, _is_number
-
-    problems: List[str] = []
-    if not isinstance(snapshot, dict):
-        return ["snapshot must be a JSON object, got %s" % type(snapshot).__name__]
-    if snapshot.get("schema") != ROBUSTNESS_BENCH_SCHEMA_VERSION:
-        problems.append(
-            "schema must be %r, got %r"
-            % (ROBUSTNESS_BENCH_SCHEMA_VERSION, snapshot.get("schema"))
-        )
-    if not _is_number(snapshot.get("period")) or snapshot.get("period", 0) <= 0:
-        problems.append("needs a positive numeric 'period'")
-    if not _is_count(snapshot.get("rows")) or not snapshot.get("rows"):
-        problems.append("needs a positive integer 'rows'")
-    runs = snapshot.get("runs")
-    if not isinstance(runs, list) or len(runs) < 2:
-        problems.append("'runs' must list at least two window widths")
-        runs = []
-    last_width = -1
-    for index, entry in enumerate(runs):
-        where = "runs[%d]" % index
-        if not isinstance(entry, dict):
-            problems.append("%s must be an object" % where)
-            continue
-        if not _is_count(entry.get("width_rows")):
-            problems.append(
-                "%s 'width_rows' must be a non-negative integer" % where
-            )
-        elif entry["width_rows"] <= last_width:
-            problems.append(
-                "%s widths must be strictly increasing" % where
-            )
-        else:
-            last_width = entry["width_rows"]
-        for key in (
-            "bool_seconds",
-            "robust_seconds",
-            "bool_rows_per_second",
-            "robust_rows_per_second",
-            "overhead",
-        ):
-            if not _is_number(entry.get(key)) or entry.get(key, 0) <= 0:
-                problems.append("%s %r must be a positive number" % (where, key))
-    ratios = snapshot.get("ratios")
-    if not isinstance(ratios, dict):
-        problems.append("missing or non-object section 'ratios'")
-    else:
-        for key in ("overhead_widest", "overhead_flatness"):
-            if not _is_number(ratios.get(key)) or ratios.get(key, 0) <= 0:
-                problems.append("ratio %r must be a positive number" % key)
-    return problems
-
-
-def require_valid_robustness_bench_snapshot(
-    snapshot: object,
-) -> Dict[str, object]:
-    """Validate and return a snapshot; raise ``ValueError`` otherwise."""
-    problems = validate_robustness_bench_snapshot(snapshot)
-    if problems:
-        raise ValueError(
-            "invalid robustness bench snapshot: %s" % "; ".join(problems)
-        )
-    return snapshot  # type: ignore[return-value]
 
 
 def format_robustness_bench(snapshot: Dict[str, object]) -> str:

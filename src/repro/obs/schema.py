@@ -18,192 +18,58 @@ strings.  Merging two snapshots adds counters, merges histograms
 bucket-wise, and keeps the last gauge value — see
 :meth:`repro.obs.MetricsRegistry.merge_snapshot`.
 
-Validation here is hand-rolled (the repo is zero-dependency beyond
-numpy): :func:`validate_snapshot` returns a list of problems, empty
-when the document conforms, and :func:`require_valid_snapshot` raises
-on the first problem — the CI smoke step calls the latter.
+The declaration is :data:`SNAPSHOT_SCHEMA`; check a document with
+``repro.schema.validate(snapshot, SNAPSHOT_SCHEMA)`` (a list of
+problems) or ``repro.schema.require_valid`` (raises
+:class:`repro.schema.SchemaError`) — the CI table1-smoke step calls the
+latter.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Any, List
 
 from repro.obs.metrics import SCHEMA_VERSION
+from repro.schema import COUNT, Field, tag
 
 
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_count(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def validate_snapshot(snapshot: object) -> List[str]:
-    """All the ways ``snapshot`` fails to be a valid metrics dump.
-
-    Returns an empty list when the document conforms to the
-    ``repro.obs/v1`` format described in the module docstring.
-    """
-    problems: List[str] = []
-    if not isinstance(snapshot, dict):
-        return ["snapshot must be a JSON object, got %s" % type(snapshot).__name__]
-    if snapshot.get("schema") != SCHEMA_VERSION:
-        problems.append(
-            "schema must be %r, got %r" % (SCHEMA_VERSION, snapshot.get("schema"))
-        )
-    for section in ("counters", "gauges", "histograms"):
-        if not isinstance(snapshot.get(section), dict):
-            problems.append("missing or non-object section %r" % section)
-    if problems:
-        return problems
-
-    for name, value in snapshot["counters"].items():
-        if not _is_count(value):
-            problems.append(
-                "counter %r must be a non-negative integer, got %r" % (name, value)
-            )
-    for name, dump in snapshot["gauges"].items():
-        if not isinstance(dump, dict):
-            problems.append("gauge %r must be an object" % name)
-            continue
-        if not _is_number(dump.get("value")):
-            problems.append("gauge %r needs a numeric 'value'" % name)
-        if not _is_count(dump.get("updates")):
-            problems.append("gauge %r needs an integer 'updates'" % name)
-    for name, dump in snapshot["histograms"].items():
-        problems.extend(_validate_histogram(name, dump))
-    return problems
-
-
-def _validate_histogram(name: str, dump: object) -> List[str]:
-    problems: List[str] = []
-    if not isinstance(dump, dict):
-        return ["histogram %r must be an object" % name]
-    if not _is_count(dump.get("count")):
-        problems.append("histogram %r needs an integer 'count'" % name)
-    for key in ("sum", "min", "max"):
-        if not _is_number(dump.get(key)):
-            problems.append("histogram %r needs a numeric %r" % (name, key))
-    buckets = dump.get("buckets")
-    if not isinstance(buckets, dict):
-        return problems + ["histogram %r needs a 'buckets' object" % name]
-    total = 0
-    for index, count in buckets.items():
+def _buckets(dump: Any, where: str) -> List[str]:
+    """Bucket keys are integer indices whose counts sum to ``count``."""
+    problems = []
+    for index in dump["buckets"]:
         try:
             int(index)
         except (TypeError, ValueError):
-            problems.append(
-                "histogram %r bucket key %r is not an integer index" % (name, index)
-            )
-        if not _is_count(count):
-            problems.append(
-                "histogram %r bucket %r count must be a non-negative integer"
-                % (name, index)
-            )
-        else:
-            total += count
-    if _is_count(dump.get("count")) and total != dump["count"]:
+            problems.append("%s bucket key %r is not an integer index" % (where, index))
+    total = sum(dump["buckets"].values())
+    if total != dump["count"]:
         problems.append(
-            "histogram %r bucket counts sum to %d but 'count' is %d"
-            % (name, total, dump["count"])
+            "%s bucket counts sum to %d but 'count' is %d"
+            % (where, total, dump["count"])
         )
     return problems
 
 
-def require_valid_snapshot(snapshot: object) -> Dict[str, object]:
-    """Validate and return ``snapshot``; raise ``ValueError`` otherwise."""
-    problems = validate_snapshot(snapshot)
-    if problems:
-        raise ValueError(
-            "invalid metrics snapshot: %s" % "; ".join(problems)
-        )
-    return snapshot  # type: ignore[return-value]
+_HISTOGRAM = Field(
+    "object",
+    {
+        "count": COUNT,
+        **dict.fromkeys(("sum", "min", "max"), Field("num")),
+        "buckets": Field("map", of=COUNT),
+    },
+    check=_buckets,
+)
 
-
-# ----------------------------------------------------------------------
-# Monitor bench snapshots (repro.bench.monitor/v1)
-# ----------------------------------------------------------------------
-
-
-def _positive_number(value: object) -> bool:
-    return _is_number(value) and value > 0
-
-
-def validate_bench_snapshot(snapshot: object) -> List[str]:
-    """All the ways ``snapshot`` fails to be a valid bench dump.
-
-    The format (``repro.bench.monitor/v1``) is documented in
-    :mod:`repro.obs.bench`; this is what CI's perf-smoke gate runs
-    against both its fresh measurement and the committed baseline.
-    """
-    from repro.obs.bench import BENCH_SCHEMA_VERSION
-
-    problems: List[str] = []
-    if not isinstance(snapshot, dict):
-        return ["snapshot must be a JSON object, got %s" % type(snapshot).__name__]
-    if snapshot.get("schema") != BENCH_SCHEMA_VERSION:
-        problems.append(
-            "schema must be %r, got %r"
-            % (BENCH_SCHEMA_VERSION, snapshot.get("schema"))
-        )
-    if not _is_count(snapshot.get("rows")) or snapshot.get("rows") == 0:
-        problems.append("'rows' must be a positive integer")
-    if not _positive_number(snapshot.get("period")):
-        problems.append("'period' must be a positive number")
-
-    sweep = snapshot.get("sweep")
-    if not isinstance(sweep, list) or not sweep:
-        problems.append("'sweep' must be a non-empty array")
-    else:
-        for position, entry in enumerate(sweep):
-            where = "sweep[%d]" % position
-            if not isinstance(entry, dict):
-                problems.append("%s must be an object" % where)
-                continue
-            if not _is_count(entry.get("width_rows")) or entry.get("width_rows") == 0:
-                problems.append("%s needs a positive integer 'width_rows'" % where)
-            if entry.get("kernel") not in ("block", "strided"):
-                problems.append(
-                    "%s kernel must be 'block' or 'strided', got %r"
-                    % (where, entry.get("kernel"))
-                )
-            for key in ("seconds", "rows_per_second"):
-                if not _positive_number(entry.get(key)):
-                    problems.append("%s needs a positive numeric %r" % (where, key))
-
-    memo = snapshot.get("memo")
-    if not isinstance(memo, list) or not memo:
-        problems.append("'memo' must be a non-empty array")
-    else:
-        for position, entry in enumerate(memo):
-            where = "memo[%d]" % position
-            if not isinstance(entry, dict):
-                problems.append("%s must be an object" % where)
-                continue
-            if not isinstance(entry.get("memo"), bool):
-                problems.append("%s needs a boolean 'memo'" % where)
-            for key in ("seconds", "rows_per_second"):
-                if not _positive_number(entry.get(key)):
-                    problems.append("%s needs a positive numeric %r" % (where, key))
-
-    speedups = snapshot.get("speedups")
-    if not isinstance(speedups, dict) or not speedups:
-        problems.append("'speedups' must be a non-empty object")
-    else:
-        for name, value in speedups.items():
-            if not _positive_number(value):
-                problems.append(
-                    "speedup %r must be a positive number, got %r" % (name, value)
-                )
-    return problems
-
-
-def require_valid_bench_snapshot(snapshot: object) -> Dict[str, object]:
-    """Validate and return a bench snapshot; raise ``ValueError`` otherwise."""
-    problems = validate_bench_snapshot(snapshot)
-    if problems:
-        raise ValueError(
-            "invalid bench snapshot: %s" % "; ".join(problems)
-        )
-    return snapshot  # type: ignore[return-value]
+#: The ``repro.obs/v1`` metrics snapshot (layout in the module docstring).
+SNAPSHOT_SCHEMA = Field(
+    "object",
+    {
+        "schema": tag(SCHEMA_VERSION),
+        "counters": Field("map", of=COUNT),
+        "gauges": Field(
+            "map", of=Field("object", {"value": Field("num"), "updates": COUNT})
+        ),
+        "histograms": Field("map", of=_HISTOGRAM),
+    },
+    title="metrics snapshot",
+)

@@ -9,14 +9,13 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
+    AUDIT_REPORT_SCHEMA,
     audit_rules,
     build_audit_report,
     contradicts,
     implies,
     negate,
     paper_plan,
-    require_valid_audit_report,
-    validate_audit_report,
 )
 from repro.analysis.audit import ACC_MODES, CampaignPlan
 from repro.analysis.catalog import CATALOG
@@ -25,6 +24,7 @@ from repro.core.monitor import Rule
 from repro.core.parser import parse_formula
 from repro.core.statemachine import StateMachine
 from repro.rules.safety_rules import paper_rules
+from repro.schema import require_valid, validate
 from repro.testing.campaign import InjectionTest
 
 GOLDEN_DIR = Path(__file__).parent
@@ -276,34 +276,37 @@ class TestAuditSchema:
         dump = build_audit_report([report])
         # Through JSON and back, then validated.
         parsed = json.loads(json.dumps(dump))
-        assert require_valid_audit_report(parsed) is parsed
+        assert require_valid(parsed, AUDIT_REPORT_SCHEMA) is parsed
         assert parsed["schema"] == "repro.audit/v1"
         assert parsed["counts"] == report.counts()
 
     def test_validator_rejects_wrong_schema(self):
         dump = build_audit_report([fixture_report()])
         dump["schema"] = "repro.lint/v1"
-        assert any("schema" in p for p in validate_audit_report(dump))
+        assert any("schema" in p for p in validate(dump, AUDIT_REPORT_SCHEMA))
 
     def test_validator_rejects_sl_codes_in_sections(self):
         dump = build_audit_report([fixture_report()])
         dump["targets"][0]["sections"]["rules"][0]["code"] = "SL101"
-        assert validate_audit_report(dump)
+        assert validate(dump, AUDIT_REPORT_SCHEMA)
 
     def test_validator_rejects_bad_counts(self):
         dump = build_audit_report([fixture_report()])
         dump["targets"][0]["counts"]["error"] += 1
-        assert validate_audit_report(dump)
+        assert validate(dump, AUDIT_REPORT_SCHEMA)
 
     def test_validator_rejects_unknown_section(self):
         dump = build_audit_report([fixture_report()])
         dump["targets"][0]["sections"]["extras"] = []
-        assert any("unknown section" in p for p in validate_audit_report(dump))
+        assert any(
+            "unknown key 'extras'" in p
+            for p in validate(dump, AUDIT_REPORT_SCHEMA)
+        )
 
     def test_validator_rejects_negative_summary(self):
         dump = build_audit_report([fixture_report()])
         dump["targets"][0]["summary"]["rules"] = -1
-        assert any("summary" in p for p in validate_audit_report(dump))
+        assert any("summary" in p for p in validate(dump, AUDIT_REPORT_SCHEMA))
 
 
 class TestRefineEnvSeeding:

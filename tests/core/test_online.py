@@ -6,6 +6,8 @@ emitted verdicts, violation spans, and undecided-row counts are
 the retention window.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -327,6 +329,20 @@ class TestStreamingBehaviour:
             online.feed(1.0, "x", 1.0)
         with pytest.raises(TraceError):
             online.finish()
+
+    @pytest.mark.parametrize("timestamp", [math.inf, -math.inf, math.nan])
+    def test_non_finite_timestamp_rejected_before_any_state(self, timestamp):
+        online = OnlineMonitor([Rule.from_text("r", "n", "x > 0")])
+        with pytest.raises(TraceError, match="non-finite"):
+            online.feed(timestamp, "x", 1.0)
+        # Nothing was buffered and the clock did not move: the stream
+        # carries on as if the bad event never arrived.
+        assert online._buffer.is_empty()
+        for i in range(20):
+            online.feed(i * PERIOD, "x", 1.0)
+        report = online.finish()
+        assert not report.results["r"].violated
+        assert report.duration == pytest.approx(19 * PERIOD)
 
     def test_empty_stream_finishes_unknown(self):
         online = OnlineMonitor([Rule.from_text("r", "n", "x > 0")])

@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import math
 import urllib.request
 
 import pytest
@@ -10,6 +11,7 @@ from helpers import uniform_trace
 from repro.core.monitor import Rule
 from repro.errors import TraceError
 from repro.fleet import (
+    FLEET_SCHEMA,
     FLEET_SCHEMA_VERSION,
     FleetService,
     StreamShard,
@@ -17,10 +19,9 @@ from repro.fleet import (
     fleet_rollup,
     interleave,
     replay_traces,
-    require_valid_fleet_snapshot,
-    validate_fleet_snapshot,
 )
 from repro.fleet.status import StatusServer
+from repro.schema import require_valid, validate
 
 PERIOD = 0.02
 
@@ -122,7 +123,7 @@ class TestShardMargins:
             near.feed(i * PERIOD, "x", 1.0)
         far.finish()
         near.finish()
-        rollup = require_valid_fleet_snapshot(fleet_rollup([far, near]))
+        rollup = require_valid(fleet_rollup([far, near]), FLEET_SCHEMA)
         fleet_margins = rollup["fleet"]["margins"]
         near_margins = rollup["streams"]["near"]["margins"]
         assert fleet_margins["pos"] == near_margins["pos"]
@@ -136,14 +137,14 @@ class TestShardMargins:
         for i in range(100):
             plain.feed(i * PERIOD, "x", 1.0)
             rob.feed(i * PERIOD, "x", 1.0)
-        rollup = require_valid_fleet_snapshot(fleet_rollup([plain, rob]))
+        rollup = require_valid(fleet_rollup([plain, rob]), FLEET_SCHEMA)
         assert rollup["streams"]["plain"]["margins"] is None
         assert set(rollup["fleet"]["margins"]) == {"pos", "alw"}
 
     def test_boolean_only_fleet_has_null_aggregate(self):
         shard = StreamShard("v1", simple_rules(), min_chunk_rows=10)
         shard.feed(0.0, "x", 1.0)
-        rollup = require_valid_fleet_snapshot(fleet_rollup([shard]))
+        rollup = require_valid(fleet_rollup([shard]), FLEET_SCHEMA)
         assert rollup["fleet"]["margins"] is None
 
     def test_validator_rejects_inverted_bounds(self):
@@ -158,7 +159,7 @@ class TestShardMargins:
         }
         assert any(
             "inverted" in problem
-            for problem in validate_fleet_snapshot(rollup)
+            for problem in validate(rollup, FLEET_SCHEMA)
         )
 
 
@@ -223,7 +224,7 @@ class TestShardObservability:
         b = StreamShard(
             "b", simple_rules(), min_chunk_rows=10, observability=True
         )
-        rollup = require_valid_fleet_snapshot(fleet_rollup([a, b]))
+        rollup = require_valid(fleet_rollup([a, b]), FLEET_SCHEMA)
         block = rollup["fleet"]["observability"]
         assert block["referenced"] == ["w", "x", "y"]
         assert block["required"] == ["w", "x"]
@@ -234,13 +235,13 @@ class TestShardObservability:
         obs = StreamShard(
             "obs", partitioned_rules(), min_chunk_rows=10, observability=True
         )
-        rollup = require_valid_fleet_snapshot(fleet_rollup([plain, obs]))
+        rollup = require_valid(fleet_rollup([plain, obs]), FLEET_SCHEMA)
         assert rollup["streams"]["plain"]["observability"] is None
         assert rollup["fleet"]["observability"]["droppable"] == ["x", "y"]
 
     def test_fleet_block_null_when_nobody_reports(self):
         shard = StreamShard("v1", simple_rules(), min_chunk_rows=10)
-        rollup = require_valid_fleet_snapshot(fleet_rollup([shard]))
+        rollup = require_valid(fleet_rollup([shard]), FLEET_SCHEMA)
         assert rollup["fleet"]["observability"] is None
 
     def test_validator_rejects_broken_partition(self):
@@ -251,7 +252,7 @@ class TestShardObservability:
         rollup["streams"]["v1"]["observability"]["droppable"] = []
         assert any(
             "partition" in problem
-            for problem in validate_fleet_snapshot(rollup)
+            for problem in validate(rollup, FLEET_SCHEMA)
         )
         fresh = StreamShard(
             "v1", partitioned_rules(), min_chunk_rows=10, observability=True
@@ -260,7 +261,7 @@ class TestShardObservability:
         rollup["fleet"]["observability"]["bandwidth_hint"] = 1.5
         assert any(
             "bandwidth_hint" in problem
-            for problem in validate_fleet_snapshot(rollup)
+            for problem in validate(rollup, FLEET_SCHEMA)
         )
 
 
@@ -281,7 +282,7 @@ class TestFleetService:
         assert report.reports["good"].letters()["pos"] == "S"
         assert report.reports["bad"].letters()["pos"] == "V"
         assert report.violated_streams() == ["bad"]
-        rollup = require_valid_fleet_snapshot(report.rollup)
+        rollup = require_valid(report.rollup, FLEET_SCHEMA)
         assert rollup["fleet"]["streams"] == 2
         assert rollup["fleet"]["events"] == 600
 
@@ -334,6 +335,27 @@ class TestFleetService:
         self._run(scenario())
 
 
+    @pytest.mark.parametrize("timestamp", [math.inf, math.nan])
+    def test_non_finite_timestamp_is_typed_and_never_stalls(self, timestamp):
+        # One bad event followed by 49 good ones under the default block
+        # policy: the caller gets a TraceError and the stream keeps
+        # flowing (the bad event used to kill the worker, so the next
+        # full-inbox submit awaited forever).
+        async def scenario():
+            service = FleetService(
+                simple_rules(), inbox_events=4, policy="block", batch_events=4
+            )
+            with pytest.raises(TraceError, match="non-finite"):
+                await service.submit("s", timestamp, "x", 1.0)
+            for i in range(49):
+                await service.submit("s", i * PERIOD, "x", 1.0)
+            return await service.close()
+
+        report = self._run(asyncio.wait_for(scenario(), 5))
+        assert report.rollup["streams"]["s"]["events"] == 49
+        assert report.reports["s"].letters()["pos"] == "S"
+
+
 class TestRollupSchema:
     def _rollup(self):
         shard = StreamShard("v1", simple_rules(), min_chunk_rows=10)
@@ -345,23 +367,23 @@ class TestRollupSchema:
     def test_valid_rollup_passes(self):
         rollup = self._rollup()
         assert rollup["schema"] == FLEET_SCHEMA_VERSION
-        assert validate_fleet_snapshot(rollup) == []
+        assert validate(rollup, FLEET_SCHEMA) == []
 
     def test_rollup_round_trips_through_json(self):
         rollup = json.loads(json.dumps(self._rollup()))
-        assert validate_fleet_snapshot(rollup) == []
+        assert validate(rollup, FLEET_SCHEMA) == []
 
     def test_mutations_are_caught(self):
         rollup = self._rollup()
         rollup["streams"]["v1"]["letters"] = {"pos": "maybe"}
-        assert validate_fleet_snapshot(rollup)
+        assert validate(rollup, FLEET_SCHEMA)
         rollup = self._rollup()
         rollup["fleet"]["streams"] = 7
-        assert validate_fleet_snapshot(rollup)
+        assert validate(rollup, FLEET_SCHEMA)
         rollup = self._rollup()
         del rollup["fleet"]["backpressure"]
         with pytest.raises(ValueError):
-            require_valid_fleet_snapshot(rollup)
+            require_valid(rollup, FLEET_SCHEMA)
 
     def test_merged_totals_match_stream_sums(self):
         a = StreamShard("a", simple_rules(), min_chunk_rows=10)
@@ -404,7 +426,7 @@ class TestStatusServer:
             return status, health, missing
 
         status, health, missing = asyncio.run(scenario())
-        assert validate_fleet_snapshot(status) == []
+        assert validate(status, FLEET_SCHEMA) == []
         assert status["streams"]["s"]["events"] == 100
         assert health == {"ok": True}
         assert missing == 404
@@ -445,7 +467,7 @@ class TestReplay:
     def test_replay_across_eight_streams(self):
         traces = [sawtooth_trace(name="t%d" % i, n=200 + 40 * i) for i in range(3)]
         report = replay_traces(traces, simple_rules(), streams=8, min_chunk_rows=10)
-        rollup = require_valid_fleet_snapshot(report.rollup)
+        rollup = require_valid(report.rollup, FLEET_SCHEMA)
         assert rollup["fleet"]["streams"] == 8
         for entry in rollup["streams"].values():
             assert entry["chunks"] > 0, entry["stream"]

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.obs import (
+    ROBUSTNESS_BENCH_SCHEMA,
     ROBUSTNESS_BENCH_SCHEMA_VERSION,
     bench_robustness,
     format_robustness_bench,
-    require_valid_robustness_bench_snapshot,
-    validate_robustness_bench_snapshot,
 )
+from repro.schema import require_valid, validate
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +18,7 @@ def snapshot():
 
 class TestSweep:
     def test_snapshot_is_valid(self, snapshot):
-        assert require_valid_robustness_bench_snapshot(snapshot) is snapshot
+        assert require_valid(snapshot, ROBUSTNESS_BENCH_SCHEMA) is snapshot
         assert snapshot["schema"] == ROBUSTNESS_BENCH_SCHEMA_VERSION
 
     def test_one_run_per_width_in_order(self, snapshot):
@@ -40,35 +40,35 @@ class TestSweep:
 
 class TestValidator:
     def test_rejects_non_object(self):
-        assert validate_robustness_bench_snapshot([]) != []
+        assert validate([], ROBUSTNESS_BENCH_SCHEMA) != []
 
     def test_rejects_wrong_schema(self, snapshot):
         bad = dict(snapshot, schema="repro.bench.monitor/v1")
         assert any(
             "schema" in problem
-            for problem in validate_robustness_bench_snapshot(bad)
+            for problem in validate(bad, ROBUSTNESS_BENCH_SCHEMA)
         )
 
     def test_rejects_single_width(self, snapshot):
         bad = dict(snapshot, runs=snapshot["runs"][:1])
-        assert validate_robustness_bench_snapshot(bad)
+        assert validate(bad, ROBUSTNESS_BENCH_SCHEMA)
 
     def test_rejects_unsorted_widths(self, snapshot):
         bad = dict(snapshot, runs=list(reversed(snapshot["runs"])))
         assert any(
             "increasing" in problem
-            for problem in validate_robustness_bench_snapshot(bad)
+            for problem in validate(bad, ROBUSTNESS_BENCH_SCHEMA)
         )
 
     def test_rejects_nonpositive_timing(self, snapshot):
         runs = [dict(run) for run in snapshot["runs"]]
         runs[0]["robust_seconds"] = 0.0
-        assert validate_robustness_bench_snapshot(dict(snapshot, runs=runs))
+        assert validate(dict(snapshot, runs=runs), ROBUSTNESS_BENCH_SCHEMA)
 
     def test_rejects_missing_ratios(self, snapshot):
         bad = {key: value for key, value in snapshot.items() if key != "ratios"}
-        assert validate_robustness_bench_snapshot(bad)
+        assert validate(bad, ROBUSTNESS_BENCH_SCHEMA)
 
     def test_require_valid_raises_with_reasons(self):
         with pytest.raises(ValueError, match="schema"):
-            require_valid_robustness_bench_snapshot({"schema": "nope"})
+            require_valid({"schema": "nope"}, ROBUSTNESS_BENCH_SCHEMA)

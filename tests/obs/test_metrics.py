@@ -10,12 +10,12 @@ from repro.obs import (
     MetricsRegistry,
     NULL_REGISTRY,
     get_registry,
-    require_valid_snapshot,
+    SNAPSHOT_SCHEMA,
     set_registry,
     use_registry,
-    validate_snapshot,
 )
 from repro.obs.metrics import Histogram, _bucket_index
+from repro.schema import require_valid, validate
 
 
 class TestCounter:
@@ -223,10 +223,10 @@ class TestSnapshot:
         snapshot = self.build().snapshot()
         decoded = json.loads(json.dumps(snapshot))
         assert decoded == snapshot
-        assert validate_snapshot(decoded) == []
+        assert validate(decoded, SNAPSHOT_SCHEMA) == []
 
     def test_snapshot_validates(self):
-        assert validate_snapshot(self.build().snapshot()) == []
+        assert validate(self.build().snapshot(), SNAPSHOT_SCHEMA) == []
 
     def test_from_snapshot_round_trips(self):
         original = self.build()
@@ -265,29 +265,29 @@ class TestSnapshot:
 
 class TestValidation:
     def test_rejects_non_object(self):
-        assert validate_snapshot([1, 2]) != []
+        assert validate([1, 2], SNAPSHOT_SCHEMA) != []
 
     def test_rejects_missing_sections(self):
-        problems = validate_snapshot({"schema": "repro.obs/v1"})
+        problems = validate({"schema": "repro.obs/v1"}, SNAPSHOT_SCHEMA)
         assert len(problems) == 3
 
     def test_rejects_bad_counter(self):
         snapshot = MetricsRegistry().snapshot()
         snapshot["counters"]["bad"] = -1
-        assert any("bad" in p for p in validate_snapshot(snapshot))
+        assert any("bad" in p for p in validate(snapshot, SNAPSHOT_SCHEMA))
 
     def test_rejects_bucket_count_mismatch(self):
         registry = MetricsRegistry()
         registry.histogram("h").observe(1.0)
         snapshot = registry.snapshot()
         snapshot["histograms"]["h"]["count"] = 99
-        assert any("sum to" in p for p in validate_snapshot(snapshot))
+        assert any("sum to" in p for p in validate(snapshot, SNAPSHOT_SCHEMA))
 
     def test_require_valid_raises_with_details(self):
         with pytest.raises(ValueError, match="invalid metrics snapshot"):
-            require_valid_snapshot({})
+            require_valid({}, SNAPSHOT_SCHEMA)
         snapshot = MetricsRegistry().snapshot()
-        assert require_valid_snapshot(snapshot) is snapshot
+        assert require_valid(snapshot, SNAPSHOT_SCHEMA) is snapshot
 
 
 class TestSummary:
