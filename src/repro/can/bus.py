@@ -10,8 +10,12 @@ four (§V-C1).
 
 Frame *taps* are transformation hooks applied to the encoded payload just
 before delivery; the robustness-testing injection harness installs itself
-as a tap, which is how injected and bit-flipped values become visible to
-both the system under test and the monitor.
+as a tap, which is how bit-flipped, stuck and silenced signals become
+visible to both the system under test and the monitor.
+
+Every transmission packs its payload once.  Listeners receive the values
+that pack produced as long as every tap hands back the very payload
+object it was given; a payload a tap replaced is decoded from its bytes.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ Provider = Callable[[], Mapping[str, SignalValue]]
 #: Receives every frame on the bus, already decoded.
 Listener = Callable[[CanFrame, str, Dict[str, SignalValue]], None]
 #: Transforms an encoded payload before delivery (e.g. fault injection).
-#: Returning ``None`` suppresses the transmission entirely (message loss).
+#: A tap that leaves the payload alone returns the object it was given;
+#: returning ``None`` suppresses the transmission entirely (message loss).
 FrameTap = Callable[[MessageDef, bytes, float], Optional[bytes]]
 
 
@@ -91,9 +96,9 @@ class CanBus:
         self._listeners: List[Listener] = []
         self._taps: List[FrameTap] = []
         self._phase_stagger = phase_stagger
-        # Min-heap of (due_time, can_id, message); ids are unique, so
-        # ties never compare the messages themselves.
-        self._schedule: List[Tuple[float, int, MessageDef]] = []
+        # Min-heap of (due_time, can_id, message, provider); ids are
+        # unique, so ties never compare the messages themselves.
+        self._schedule: List[Tuple[float, int, MessageDef, Provider]] = []
         self.frames_sent = 0
         self.frames_dropped = 0
 
@@ -104,7 +109,9 @@ class CanBus:
             raise BusError("message %s already has a publisher" % message_name)
         self._providers[message_name] = provider
         phase = (message.can_id % 16) * self._phase_stagger
-        heapq.heappush(self._schedule, (phase, message.can_id, message))
+        heapq.heappush(
+            self._schedule, (phase, message.can_id, message, provider)
+        )
 
     def add_listener(self, listener: Listener) -> None:
         """Attach a passive listener that receives every decoded frame."""
@@ -142,11 +149,13 @@ class CanBus:
         delivered: List[CanFrame] = []
         schedule = self._schedule
         while schedule and schedule[0][0] <= now + 1e-12:
-            due, can_id, message = heapq.heappop(schedule)
-            frame = self._transmit(message, due)
+            due, can_id, message, provider = heapq.heappop(schedule)
+            frame = self._transmit(message, provider(), due)
             if frame is not None:
                 delivered.append(frame)
-            heapq.heappush(schedule, (due + message.period, can_id, message))
+            heapq.heappush(
+                schedule, (due + message.period, can_id, message, provider)
+            )
         return delivered
 
     def run_until(self, end: float, dt: float = 0.01) -> None:
@@ -162,12 +171,15 @@ class CanBus:
             t += dt
             self.step(t)
 
-    def _transmit(self, message: MessageDef, due: float) -> Optional[CanFrame]:
-        provider = self._providers.get(message.name)
-        if provider is None:
-            raise BusError("message %s has no publisher" % message.name)
+    def _transmit(
+        self,
+        message: MessageDef,
+        signals: Mapping[str, SignalValue],
+        due: float,
+    ) -> Optional[CanFrame]:
         timestamp = due + self.jitter.delay()
-        data = self.database.encode(message.name, provider())
+        packed, values = message.layout.pack(signals)
+        data: Optional[bytes] = packed
         for tap in self._taps:
             data = tap(message, data, timestamp)
             if data is None:
@@ -175,7 +187,9 @@ class CanBus:
                 self.frames_dropped += 1
                 return None
         frame = CanFrame(message.can_id, data, timestamp)
-        _, values = self.database.decode(frame)
+        if data is not packed:
+            # A tap replaced the payload: decode what is on the wire.
+            _, values = self.database.decode(frame)
         for listener in self._listeners:
             listener(frame, message.name, values)
         self.frames_sent += 1

@@ -221,9 +221,6 @@ class CanDatabase:
         self._by_id: Dict[int, MessageDef] = {}
         self._by_name: Dict[str, MessageDef] = {}
         self._signal_home: Dict[str, MessageDef] = {}
-        # Per CAN id, the last payload :meth:`encode` produced and its
-        # decoded values (see :meth:`decode`).
-        self._decoded: Dict[int, Tuple[bytes, Dict[str, SignalValue]]] = {}
         for message in messages:
             self.add_message(message)
 
@@ -310,22 +307,15 @@ class CanDatabase:
 
         Signals missing from ``values`` are encoded with their benign
         defaults, so a publisher only needs to supply what it produces.
-        The payload's decoded values are kept for the next :meth:`decode`
-        of this message's id.
         """
-        message = self.message_by_name(message_name)
-        data, decoded = message.layout.pack(values)
-        self._decoded[message.can_id] = (data, decoded)
-        return data
+        return self.message_by_name(message_name).layout.pack(values)[0]
 
     def decode(self, frame: CanFrame) -> Tuple[str, Dict[str, SignalValue]]:
         """Decode a frame into ``(message_name, {signal: physical value})``.
 
-        Decoding is a pure function of ``(can_id, data)``: when ``frame``
-        carries exactly the payload the last :meth:`encode` of its id
-        produced, the values kept from that encode are returned (once);
-        any other payload, e.g. one an injection tap rewrote, is decoded
-        from its bytes.
+        A pure function of ``(can_id, data)``: bytes past the message
+        length carry no signal, and a payload shorter than the message
+        raises :class:`DatabaseError`.
         """
         message = self.message_by_id(frame.can_id)
         if frame.dlc < message.length:
@@ -333,9 +323,6 @@ class CanDatabase:
                 "%s: frame carries %d bytes, expected %d"
                 % (message.name, frame.dlc, message.length)
             )
-        kept = self._decoded.pop(frame.can_id, None)
-        if kept is not None and kept[0] == frame.data:
-            return message.name, kept[1]
         return message.name, message.layout.unpack(frame.data)
 
     def frame_for(

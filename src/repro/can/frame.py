@@ -8,7 +8,7 @@ consumes frames from a logging interface that already hides them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.can.errors import FrameError
 
@@ -20,9 +20,18 @@ MAX_EXTENDED_ID = 0x1FFFFFFF
 MAX_DLC = 8
 
 
-@dataclass(frozen=True)
-class CanFrame:
-    """One classic CAN 2.0 data frame.
+class _FrameFields(NamedTuple):
+    can_id: int
+    data: bytes
+    timestamp: float = 0.0
+    extended: bool = False
+
+
+class CanFrame(_FrameFields):
+    """One classic CAN 2.0 data frame (immutable and hashable).
+
+    The bus builds one frame per transmission, so a frame is a tuple
+    validated once in ``__new__`` rather than a dataclass.
 
     Attributes:
         can_id: message identifier (11-bit standard or 29-bit extended).
@@ -31,23 +40,31 @@ class CanFrame:
         extended: whether the identifier uses the 29-bit extended format.
     """
 
-    can_id: int
-    data: bytes
-    timestamp: float = 0.0
-    extended: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        limit = MAX_EXTENDED_ID if self.extended else MAX_STANDARD_ID
-        if not 0 <= self.can_id <= limit:
+    def __new__(
+        cls,
+        can_id: int,
+        data: bytes,
+        timestamp: float = 0.0,
+        extended: bool = False,
+    ) -> "CanFrame":
+        if not 0 <= can_id <= (MAX_EXTENDED_ID if extended else MAX_STANDARD_ID):
             raise FrameError(
                 "can_id 0x%X out of range for %s frame"
-                % (self.can_id, "extended" if self.extended else "standard")
+                % (can_id, "extended" if extended else "standard")
             )
-        if len(self.data) > MAX_DLC:
+        if len(data) > MAX_DLC:
             raise FrameError(
                 "payload of %d bytes exceeds CAN 2.0 limit of %d"
-                % (len(self.data), MAX_DLC)
+                % (len(data), MAX_DLC)
             )
+        return tuple.__new__(cls, (can_id, data, timestamp, extended))
+
+    @classmethod
+    def _make(cls, iterable) -> "CanFrame":
+        # ``_replace`` builds through ``_make``: validate there as well.
+        return cls(*iterable)
 
     @property
     def dlc(self) -> int:

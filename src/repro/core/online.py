@@ -261,12 +261,17 @@ class OnlineMonitor:
         instead of being buffered — its row has already been emitted or
         trimmed, so it can no longer influence any verdict.  A
         non-finite timestamp raises :class:`TraceError` before any state
-        changes.
+        changes; so does a non-numeric one (``None``, a string).
         """
         if self._finished:
             raise TraceError("monitor already finished")
-        if not math.isfinite(timestamp):
-            raise TraceError("non-finite event timestamp %r" % (timestamp,))
+        try:
+            if not math.isfinite(timestamp):
+                raise TraceError("non-finite event timestamp %r" % (timestamp,))
+        except TypeError:
+            raise TraceError(
+                "non-numeric event timestamp %r" % (timestamp,)
+            ) from None
         if self._start_time is None:
             self._start_time = timestamp
         self._latest = max(self._latest, timestamp)

@@ -35,6 +35,8 @@ from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
+from repro.schema import SchemaError
+
 
 class Bounds(NamedTuple):
     """Per-row robustness interval arrays for one formula node.
@@ -79,7 +81,11 @@ def float_to_json(value: Optional[float]) -> object:
 
 
 def float_from_json(value: object) -> Optional[float]:
-    """Decode a bound written by :func:`float_to_json`."""
+    """Decode a bound written by :func:`float_to_json`.
+
+    Anything else (a NaN, a number beyond float range, another type)
+    raises :class:`~repro.schema.SchemaError`, which is a ``ValueError``.
+    """
     if value is None:
         return None
     if value == "inf":
@@ -87,10 +93,13 @@ def float_from_json(value: object) -> Optional[float]:
     if value == "-inf":
         return -math.inf
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError("not an encoded robustness bound: %r" % (value,))
-    result = float(value)
+        raise SchemaError("not an encoded robustness bound: %r" % (value,))
+    try:
+        result = float(value)
+    except OverflowError:
+        raise SchemaError("robustness bound is beyond float range") from None
     if math.isnan(result):
-        raise ValueError("robustness bounds must never be NaN")
+        raise SchemaError("robustness bounds must never be NaN")
     return result
 
 

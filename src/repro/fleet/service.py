@@ -207,13 +207,19 @@ class FleetService:
 
         Applies the backpressure policy when the stream's inbox is full:
         ``block`` awaits space, ``drop`` discards the event (counted).
-        A non-finite timestamp raises :class:`TraceError` here, before
-        the event reaches (and would kill) the stream's worker.
+        A non-finite or non-numeric timestamp raises :class:`TraceError`
+        here, before the event reaches (and would kill) the stream's
+        worker.
         """
         if self._closed:
             raise RuntimeError("fleet service already closed")
-        if not math.isfinite(timestamp):
-            raise TraceError("non-finite event timestamp %r" % (timestamp,))
+        try:
+            if not math.isfinite(timestamp):
+                raise TraceError("non-finite event timestamp %r" % (timestamp,))
+        except TypeError:
+            raise TraceError(
+                "non-numeric event timestamp %r" % (timestamp,)
+            ) from None
         inbox = self._ensure_worker(stream_id)
         event = (timestamp, signal, value)
         self.registry.counter("fleet.events_submitted").inc()

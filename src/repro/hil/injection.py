@@ -2,41 +2,40 @@
 
 The paper routed every FSRACC input through an added multiplexor with an
 *inject value* and an *enable* signal, so each input could be individually
-passed through or overwritten.  Here the same mechanism is realized as a
-bus frame tap: when an injection is enabled for a signal, the tap rewrites
-that signal's field in every outgoing frame that carries it.  Because the
-rewrite happens on the wire, both the feature under test and the passive
-monitor observe the injected value — exactly the black-box interception
-the paper describes.
+passed through or overwritten.  Faults enter at two points:
 
-Four injection modes exist:
+* **value** injection is that multiplexor: an enabled override replaces
+  the signal's producer value (subject to the active profile's type
+  checking) before the carrying message is encoded, via
+  :meth:`InjectionHarness.multiplex`, which the simulator's publisher
+  applies to its signal registry;
+* the wire-level faults act on the encoded payload, through
+  :meth:`InjectionHarness.tap`, a bus frame tap:
 
-* **value** injection — the field is re-encoded with a chosen physical
-  value (subject to the active profile's type checking);
-* **bit-flip** injection — chosen bits of the signal's raw field are
-  inverted in the encoded payload (faults at the bit level; on the HIL
-  profile results decoding to invalid enums are suppressed, §V-C3);
-* **stick** injection — the signal freezes at its last transmitted value
-  (a stuck sensor: frames keep flowing but the value never changes);
-* **silence** injection — the signal's carrier message stops being
-  transmitted entirely (a silent node / lost message: downstream
-  consumers and the monitor hold stale data, and ``age()``-based
-  freshness rules are the only way to notice).
+  * **bit-flip** injection — chosen bits of the signal's raw field are
+    inverted in the encoded payload (faults at the bit level; on the HIL
+    profile results decoding to invalid enums are suppressed, §V-C3);
+  * **stick** injection — the signal freezes at its last transmitted
+    value (a stuck sensor: frames keep flowing but the value never
+    changes);
+  * **silence** injection — the signal's carrier message stops being
+    transmitted entirely (a silent node / lost message: downstream
+    consumers and the monitor hold stale data, and ``age()``-based
+    freshness rules are the only way to notice).
+
+Either way the fault is on the bus, so both the feature under test and
+the passive monitor observe it — exactly the black-box interception the
+paper describes.  A signal carries at most one enabled fault: enabling
+another replaces it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.can.codec import (
-    decode_signal,
-    encode_signal,
-    extract_raw,
-    flip_bits,
-    insert_raw,
-)
+from repro.can.codec import decode_signal, extract_raw, flip_bits, insert_raw
 from repro.can.database import CanDatabase, MessageDef
 from repro.can.signal import SignalDef, SignalValue
 from repro.errors import InjectionError
@@ -54,19 +53,20 @@ class InjectionMode(enum.Enum):
 
 @dataclass
 class ActiveInjection:
-    """One enabled multiplexor override."""
+    """One enabled wire-level fault (bit-flip, stick or silence)."""
 
     signal: str
     mode: InjectionMode
-    value: Optional[SignalValue] = None
     bit_offsets: Tuple[int, ...] = ()
     stuck_raw: Optional[int] = None
 
 
 class InjectionHarness:
-    """Per-signal injection multiplexors, applied as a bus frame tap.
+    """Per-signal injection multiplexors plus the wire-level frame tap.
 
     Attributes:
+        overrides: the enabled value overrides, signal name to value
+            (read by :meth:`multiplex`).
         attempts: number of injection requests made.
         rejections: requests refused by the active type-check profile
             (the quantity Experiment E6 compares across profiles).
@@ -79,7 +79,8 @@ class InjectionHarness:
     ) -> None:
         self.database = database
         self.checker = checker
-        self._active: Dict[str, ActiveInjection] = {}
+        self.overrides: Dict[str, SignalValue] = {}
+        self._wire: Dict[str, ActiveInjection] = {}
         self.attempts = 0
         self.rejections = 0
         self.rejection_log: List[Tuple[str, SignalValue, str]] = []
@@ -101,9 +102,8 @@ class InjectionHarness:
             self.rejections += 1
             self.rejection_log.append((signal_name, value, result.reason))
             return result
-        self._active[signal_name] = ActiveInjection(
-            signal=signal_name, mode=InjectionMode.VALUE, value=value
-        )
+        self._wire.pop(signal_name, None)
+        self.overrides[signal_name] = value
         return result
 
     def inject_bitflips(
@@ -138,10 +138,12 @@ class InjectionHarness:
                     % (signal_name, offset, signal.bit_length)
                 )
         self.attempts += 1
-        self._active[signal_name] = ActiveInjection(
-            signal=signal_name,
-            mode=InjectionMode.BITFLIP,
-            bit_offsets=offsets,
+        self._enable_wire(
+            ActiveInjection(
+                signal=signal_name,
+                mode=InjectionMode.BITFLIP,
+                bit_offsets=offsets,
+            )
         )
 
     def inject_stick(self, signal_name: str) -> None:
@@ -152,8 +154,8 @@ class InjectionHarness:
         """
         self._signal(signal_name)
         self.attempts += 1
-        self._active[signal_name] = ActiveInjection(
-            signal=signal_name, mode=InjectionMode.STICK
+        self._enable_wire(
+            ActiveInjection(signal=signal_name, mode=InjectionMode.STICK)
         )
 
     def inject_silence(self, signal_name: str) -> None:
@@ -163,35 +165,52 @@ class InjectionHarness:
         failure would."""
         self._signal(signal_name)
         self.attempts += 1
-        self._active[signal_name] = ActiveInjection(
-            signal=signal_name, mode=InjectionMode.SILENCE
+        self._enable_wire(
+            ActiveInjection(signal=signal_name, mode=InjectionMode.SILENCE)
         )
 
     def clear(self, signal_name: str) -> None:
         """Disable any override on ``signal_name`` (pass-through)."""
-        self._active.pop(signal_name, None)
+        self.overrides.pop(signal_name, None)
+        self._wire.pop(signal_name, None)
 
     def clear_all(self) -> None:
         """Disable every override."""
-        self._active.clear()
+        self.overrides.clear()
+        self._wire.clear()
 
     def enabled_signals(self) -> Tuple[str, ...]:
         """Names of signals currently being overridden."""
-        return tuple(sorted(self._active))
+        return tuple(sorted([*self.overrides, *self._wire]))
 
     def is_enabled(self, signal_name: str) -> bool:
         """Whether ``signal_name`` currently has an active override."""
-        return signal_name in self._active
+        return signal_name in self.overrides or signal_name in self._wire
+
+    def _enable_wire(self, injection: ActiveInjection) -> None:
+        self.overrides.pop(injection.signal, None)
+        self._wire[injection.signal] = injection
 
     # ------------------------------------------------------------------
-    # Bus tap
+    # Injection points
     # ------------------------------------------------------------------
+
+    def multiplex(
+        self, values: Mapping[str, SignalValue]
+    ) -> Mapping[str, SignalValue]:
+        """The input multiplexors: ``values`` with every enabled value
+        override laid over it (``values`` itself when none is enabled;
+        it is never modified)."""
+        if not self.overrides:
+            return values
+        return {**values, **self.overrides}
 
     def tap(
         self, message: MessageDef, data: bytes, timestamp: float
     ) -> Optional[bytes]:
-        """Frame tap: rewrite overridden signal fields in ``message``.
+        """Frame tap: apply the wire-level faults to ``message``'s payload.
 
+        Returns ``data`` itself when no fault touches the message.
         Bit-flip results are re-checked against the active profile: the
         dSPACE HIL's strong type checking also guarded fault-injected
         values (§V-C3, "prohibiting things such as out-of-range
@@ -201,17 +220,15 @@ class InjectionHarness:
         Returns ``None`` to drop the frame when a SILENCE injection is
         active on any of the message's signals.
         """
-        if not self._active:
+        if not self._wire:
             return data
         for signal in message.signals:
-            injection = self._active.get(signal.name)
+            injection = self._wire.get(signal.name)
             if injection is None:
                 continue
             if injection.mode is InjectionMode.SILENCE:
                 return None
-            if injection.mode is InjectionMode.VALUE:
-                data = encode_signal(data, signal, injection.value)
-            elif injection.mode is InjectionMode.STICK:
+            if injection.mode is InjectionMode.STICK:
                 if injection.stuck_raw is None:
                     injection.stuck_raw = extract_raw(data, signal)
                 data = insert_raw(data, signal, injection.stuck_raw)

@@ -4,7 +4,7 @@ Co-simulates the longitudinal vehicle plant, the scripted environment
 (lead vehicle, driver), the CAN network and the FSRACC module at a fixed
 physics step, with the controller executing on its own control period and
 every message broadcast on its database period.  A passive trace recorder
-listens on the bus — after the injection taps — so captured logs contain
+listens on the bus — after fault injection — so captured logs contain
 exactly what a bolt-on monitor plugged into the vehicle network would see.
 
 Step ordering (one physics step):
@@ -12,9 +12,10 @@ Step ordering (one physics step):
 1. advance the scripted driver and lead vehicle;
 2. measure the radar target;
 3. refresh the signal registry (ground-truth producer values);
-4. step the bus — due messages are encoded from the registry, pass
-   through injection taps, and are delivered to listeners (the FSRACC
-   input cache and the trace recorder);
+4. step the bus — due messages are encoded from the registry as seen
+   through the injection multiplexors (value faults), pass through the
+   injection tap (bit-flip, stick and silence faults), and are delivered
+   to listeners (the FSRACC input cache and the trace recorder);
 5. on control-period boundaries, run the FSRACC cycle on its *received*
    (post-injection) inputs and latch its outputs into the registry;
 6. integrate the plant, with engine/brake ECUs honouring the FSRACC
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -105,6 +106,15 @@ class HilSimulator:
         }
         self._registry["SelHeadway"] = 2
         self._acc_input_cache: Dict[str, float] = {}
+        # Per message, the FSRACC inputs it carries.
+        self._inputs_of: Dict[str, Tuple[str, ...]] = {
+            message.name: tuple(
+                signal.name
+                for signal in message.signals
+                if signal.name in FSRACC_ALL_INPUTS
+            )
+            for message in self.database.messages()
+        }
         self._acc_outputs = AccOutputs()
         self._driver_overrides: Dict[str, float] = {}
 
@@ -230,8 +240,8 @@ class HilSimulator:
     # Internals
     # ------------------------------------------------------------------
 
-    def _provide_registry(self) -> Dict[str, SignalValue]:
-        return self._registry
+    def _provide_registry(self) -> Mapping[str, SignalValue]:
+        return self.injection.multiplex(self._registry)
 
     def _on_frame(
         self,
@@ -240,9 +250,9 @@ class HilSimulator:
         values: Dict[str, SignalValue],
     ) -> None:
         """Feed post-injection input signals into the FSRACC's receive cache."""
-        for name, value in values.items():
-            if name in FSRACC_ALL_INPUTS:
-                self._acc_input_cache[name] = value
+        cache = self._acc_input_cache
+        for name in self._inputs_of[message_name]:
+            cache[name] = values[name]
 
     def _measured_velocity(self) -> float:
         """Wheel-speed sensor reading (noisy on the vehicle profile)."""

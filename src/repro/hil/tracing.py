@@ -2,7 +2,7 @@
 
 A :class:`TraceRecorder` is a passive bus listener that writes every
 decoded signal update into a :class:`~repro.logs.trace.Trace`.  Because it
-listens *on the bus* (after injection taps), the recorded log contains
+listens *on the bus* (after fault injection), the recorded log contains
 exactly what an external bolt-on monitor would have seen.
 """
 
@@ -37,12 +37,15 @@ class TraceRecorder:
         message_name: str,
         values: Dict[str, SignalValue],
     ) -> None:
-        """Bus listener callback."""
+        """Bus listener callback: one :meth:`Trace.record_many` per frame."""
         self.frames_seen += 1
-        for signal, value in values.items():
-            if self._filter is not None and signal not in self._filter:
-                continue
-            self.trace.record(signal, frame.timestamp, float(value))
+        if self._filter is not None:
+            values = {
+                signal: value
+                for signal, value in values.items()
+                if signal in self._filter
+            }
+        self.trace.record_many(frame.timestamp, values)
 
     def restart(self, name: str = "") -> Trace:
         """Close out the current capture and begin a fresh one.

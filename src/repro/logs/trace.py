@@ -20,7 +20,9 @@ import bisect
 import math
 from collections import deque
 from functools import cached_property
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Deque, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -28,6 +30,13 @@ from repro.errors import TraceError
 
 #: One trace event: (timestamp, signal name, value).
 TraceEvent = Tuple[float, str, float]
+
+
+def _out_of_order(signal: str, timestamp: float, last: float) -> TraceError:
+    return TraceError(
+        "%s: update at t=%.6f precedes last update at t=%.6f"
+        % (signal, timestamp, last)
+    )
 
 
 class Trace:
@@ -55,19 +64,33 @@ class Trace:
         """
         times = self._times.setdefault(signal, [])
         if times and timestamp < times[-1] - 1e-12:
-            raise TraceError(
-                "%s: update at t=%.6f precedes last update at t=%.6f"
-                % (signal, timestamp, times[-1])
-            )
+            raise _out_of_order(signal, timestamp, times[-1])
         times.append(float(timestamp))
         self._values.setdefault(signal, []).append(float(value))
 
     def record_many(
-        self, timestamp: float, values: Dict[str, float]
+        self, timestamp: float, values: Mapping[str, float]
     ) -> None:
-        """Record several signal updates sharing one timestamp."""
+        """Record several signal updates sharing one timestamp.
+
+        Equivalent to :meth:`record` of each item in order, with the
+        same ordering check and error: the updates before an offending
+        signal stay recorded.
+        """
+        stamp = float(timestamp)
+        all_times = self._times
+        all_values = self._values
         for signal, value in values.items():
-            self.record(signal, timestamp, value)
+            times = all_times.get(signal)
+            if times is None:
+                times = all_times[signal] = []
+                column = all_values[signal] = []
+            else:
+                if times and timestamp < times[-1] - 1e-12:
+                    raise _out_of_order(signal, timestamp, times[-1])
+                column = all_values[signal]
+            times.append(stamp)
+            column.append(float(value))
 
     # ------------------------------------------------------------------
     # Inspection
@@ -237,10 +260,7 @@ class StreamTrace:
         """
         times = self._times.setdefault(signal, deque())
         if times and timestamp < times[-1] - 1e-12:
-            raise TraceError(
-                "%s: update at t=%.6f precedes last update at t=%.6f"
-                % (signal, timestamp, times[-1])
-            )
+            raise _out_of_order(signal, timestamp, times[-1])
         times.append(float(timestamp))
         self._values.setdefault(signal, deque()).append(float(value))
 

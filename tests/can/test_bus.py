@@ -154,6 +154,69 @@ class TestTaps:
             bus.remove_frame_tap(lambda message, data, timestamp: data)
 
 
+class TestDecodedValues:
+    """Listeners get the packed values while every tap returns the very
+    payload object it was given; any other payload is decoded from its
+    bytes."""
+
+    def _run(self, tap=None):
+        bus, _ = build_bus()
+        decodes = []
+        decode = bus.database.decode
+
+        def counting_decode(frame):
+            decodes.append(frame)
+            return decode(frame)
+
+        bus.database.decode = counting_decode
+        if tap is not None:
+            bus.add_frame_tap(tap)
+        seen = []
+        bus.add_listener(lambda f, name, v: seen.append((name, f.data, v)))
+        bus.run_until(0.1)
+        assert seen
+        return seen, decodes
+
+    def test_untouched_payload_reuses_packed_values(self):
+        seen, decodes = self._run(lambda message, data, timestamp: data)
+        assert decodes == []
+        assert all(
+            v == {"speed": 10.0} if name == "Fast" else v == {"torque": 100.0}
+            for name, _, v in seen
+        )
+
+    def test_equal_but_new_payload_is_decoded(self):
+        seen, decodes = self._run(
+            lambda message, data, timestamp: bytes(bytearray(data))
+        )
+        assert len(decodes) == len(seen)
+        assert all(
+            v == {"speed": 10.0} if name == "Fast" else v == {"torque": 100.0}
+            for name, _, v in seen
+        )
+
+    def test_rewritten_payload_is_decoded_from_its_bytes(self):
+        from repro.can.codec import encode_signal
+
+        def tap(message, data, timestamp):
+            if message.name == "Fast":
+                return encode_signal(data, message.signal("speed"), -5.0)
+            return data
+
+        seen, decodes = self._run(tap)
+        fast = [v for name, _, v in seen if name == "Fast"]
+        assert len(decodes) == len(fast)
+        assert all(v == {"speed": -5.0} for v in fast)
+
+    def test_short_payload_raises_database_error(self):
+        from repro.can.errors import DatabaseError
+
+        bus, _ = build_bus()
+        bus.add_frame_tap(lambda message, data, timestamp: data[:4])
+        with pytest.raises(DatabaseError, match="expected 8"):
+            bus.run_until(0.05)
+
+
 class TestTimeValidation:
     @pytest.mark.parametrize("now", [math.nan, math.inf, -math.inf])
     def test_step_rejects_non_finite_time(self, now):

@@ -1,8 +1,9 @@
 """Differential oracle: the compiled message codec against the reference.
 
 ``CanDatabase.encode``/``decode`` run on each message's compiled layout
-(:class:`~repro.can.database.MessageLayout`) and a decode memo.  The
-per-signal functions of :mod:`repro.can.codec` are the reference: for
+(:class:`~repro.can.database.MessageLayout`), and the bus hands its
+listeners the values ``MessageLayout.pack`` returns alongside the
+payload.  The per-signal functions of :mod:`repro.can.codec` are the reference: for
 every input both must produce the same payload bytes and the same
 decoded values, bit for bit (floats compared by their binary64 pattern,
 so NaN payloads and signed zeros count), and an input the reference
@@ -138,7 +139,12 @@ def assert_round_trip(database, message, values):
     name, decoded = database.decode(frame)
     assert name == message.name
     assert same_values(decoded, reference_decode(message, data))
-    # Once more, after the memo entry was spent: decoded from the bytes.
+    # The values pack returns with the payload are the ones the bus
+    # reuses for an untouched frame.
+    packed, values_out = message.layout.pack(values)
+    assert packed == data
+    assert same_values(values_out, decoded)
+    # Decoding is pure: again, the same values.
     assert same_values(database.decode(frame)[1], decoded)
 
 
@@ -272,6 +278,9 @@ def test_longer_frames_decode_like_the_reference(message):
 
 
 class TestDecodeMemo:
+    """Decoding is a pure function of the frame: no per-id state is
+    kept between an encode and a decode."""
+
     def setup_method(self):
         self.database = fsracc_database()
         self.message = self.database.message_by_name("AccSettings")

@@ -344,6 +344,18 @@ class TestStreamingBehaviour:
         assert not report.results["r"].violated
         assert report.duration == pytest.approx(19 * PERIOD)
 
+    @pytest.mark.parametrize("timestamp", [None, "1.0", object()])
+    def test_non_numeric_timestamp_rejected_before_any_state(self, timestamp):
+        online = OnlineMonitor([Rule.from_text("r", "n", "x > 0")])
+        with pytest.raises(TraceError, match="non-numeric"):
+            online.feed(timestamp, "x", 1.0)
+        assert online._buffer.is_empty()
+        for i in range(20):
+            online.feed(i * PERIOD, "x", 1.0)
+        report = online.finish()
+        assert not report.results["r"].violated
+        assert report.duration == pytest.approx(19 * PERIOD)
+
     def test_empty_stream_finishes_unknown(self):
         online = OnlineMonitor([Rule.from_text("r", "n", "x > 0")])
         report = online.finish()

@@ -355,6 +355,23 @@ class TestFleetService:
         assert report.rollup["streams"]["s"]["events"] == 49
         assert report.reports["s"].letters()["pos"] == "S"
 
+    @pytest.mark.parametrize("timestamp", [None, "1.0", object()])
+    def test_non_numeric_timestamp_is_typed_and_never_stalls(self, timestamp):
+        async def scenario():
+            service = FleetService(
+                simple_rules(), inbox_events=4, policy="block", batch_events=4
+            )
+            with pytest.raises(TraceError, match="non-numeric"):
+                await service.submit("s", timestamp, "x", 1.0)
+            for i in range(49):
+                await service.submit("s", i * PERIOD, "x", 1.0)
+            return await service.close()
+
+        report = self._run(asyncio.wait_for(scenario(), 5))
+        assert report.rollup["streams"]["s"]["events"] == 49
+        assert report.rollup["fleet"]["events"] == 49
+        assert report.reports["s"].letters()["pos"] == "S"
+
 
 class TestRollupSchema:
     def _rollup(self):

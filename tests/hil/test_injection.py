@@ -16,10 +16,15 @@ def harness(database):
 
 
 def transmit(database, harness, signal_name, true_value):
-    """Encode a message carrying ``signal_name``, run it through the tap."""
+    """Encode a message carrying ``signal_name`` through the signal
+    multiplexor, then run it through the tap (``None``: frame dropped)."""
     message = database.message_for_signal(signal_name)
-    data = database.encode(message.name, {signal_name: true_value})
+    data = database.encode(
+        message.name, harness.multiplex({signal_name: true_value})
+    )
     data = harness.tap(message, data, 0.0)
+    if data is None:
+        return None
     from repro.can.codec import decode_signal
     return decode_signal(data, message.signal(signal_name))
 
@@ -66,7 +71,8 @@ class TestValueInjection:
         harness.inject_value("TargetRange", 999.0)
         message = database.message_for_signal("TargetRange")
         data = database.encode(
-            message.name, {"TargetRange": 50.0, "VehicleAhead": True}
+            message.name,
+            harness.multiplex({"TargetRange": 50.0, "VehicleAhead": True}),
         )
         data = harness.tap(message, data, 0.0)
         from repro.can.codec import decode_signal
@@ -141,3 +147,77 @@ class TestBookkeeping:
         harness.inject_value("Velocity", 1.0)
         harness.inject_value("Velocity", 2.0)
         assert transmit(database, harness, "Velocity", 27.0) == 2.0
+
+
+#: Enable one wire-level fault on Velocity; the values it then puts on
+#: the wire for true values 27.0 and then 30.0.
+WIRE_FAULTS = {
+    "bitflip": (lambda h: h.inject_bitflips("Velocity", (31,)), [-27.0, -30.0]),
+    "stick": (lambda h: h.inject_stick("Velocity"), [27.0, 27.0]),
+    "silence": (lambda h: h.inject_silence("Velocity"), [None, None]),
+}
+
+
+class TestOneFaultPerSignal:
+    """A value fault lives at the multiplexor and the wire-level faults
+    in the tap; enabling one on a signal replaces any other, so exactly
+    one is active and on the wire."""
+
+    @pytest.mark.parametrize("kind", sorted(WIRE_FAULTS))
+    def test_value_then_wire_fault(self, database, harness, kind):
+        enable, expected = WIRE_FAULTS[kind]
+        harness.inject_value("Velocity", -500.0)
+        enable(harness)
+        assert harness.enabled_signals() == ("Velocity",)
+        assert harness.overrides == {}
+        assert [
+            transmit(database, harness, "Velocity", true_value)
+            for true_value in (27.0, 30.0)
+        ] == expected
+
+    @pytest.mark.parametrize("kind", sorted(WIRE_FAULTS))
+    def test_wire_fault_then_value(self, database, harness, kind):
+        enable, _ = WIRE_FAULTS[kind]
+        enable(harness)
+        transmit(database, harness, "Velocity", 27.0)
+        harness.inject_value("Velocity", -500.0)
+        assert harness.enabled_signals() == ("Velocity",)
+        assert harness.overrides == {"Velocity": -500.0}
+        assert transmit(database, harness, "Velocity", 27.0) == -500.0
+        assert transmit(database, harness, "Velocity", 30.0) == -500.0
+
+    @pytest.mark.parametrize("kind", sorted(WIRE_FAULTS) + ["value"])
+    def test_clear_restores_pass_through(self, database, harness, kind):
+        if kind == "value":
+            harness.inject_value("Velocity", -500.0)
+        else:
+            WIRE_FAULTS[kind][0](harness)
+        harness.clear("Velocity")
+        assert not harness.is_enabled("Velocity")
+        assert transmit(database, harness, "Velocity", 27.0) == 27.0
+
+    def test_clear_all_clears_both_injection_points(self, database, harness):
+        harness.inject_value("Velocity", -500.0)
+        harness.inject_silence("TargetRange")
+        harness.clear_all()
+        assert harness.enabled_signals() == ()
+        assert harness.overrides == {}
+        assert transmit(database, harness, "Velocity", 27.0) == 27.0
+        message = database.message_for_signal("TargetRange")
+        data = database.encode(message.name, {})
+        assert harness.tap(message, data, 0.0) is data
+
+    def test_multiplexor_never_modifies_its_input(self, harness):
+        values = {"Velocity": 27.0}
+        assert harness.multiplex(values) is values
+        harness.inject_value("Velocity", -500.0)
+        assert harness.multiplex(values) == {"Velocity": -500.0}
+        assert values == {"Velocity": 27.0}
+
+    def test_value_fault_leaves_the_payload_to_the_tap(self, database, harness):
+        # The tap hands back the very payload object when only value
+        # faults are enabled: the bus then reuses the packed values.
+        harness.inject_value("Velocity", -500.0)
+        message = database.message_for_signal("Velocity")
+        data = database.encode(message.name, harness.multiplex({}))
+        assert harness.tap(message, data, 0.0) is data

@@ -36,6 +36,61 @@ class TestRecording:
         trace.record_many(0.5, {"a": 1.0, "b": 2.0})
         assert trace.signals() == ("a", "b")
 
+    def test_record_many_rejects_out_of_order_like_record(self):
+        trace = Trace()
+        trace.record_many(1.0, {"a": 1.0, "b": 2.0})
+        with pytest.raises(TraceError, match="b: update at t=0.500000"):
+            trace.record_many(0.5, {"c": 3.0, "b": 4.0, "a": 5.0})
+        # "c" came before the offending signal and stays recorded.
+        assert trace.updates("c") == [(0.5, 3.0)]
+        assert trace.update_count("a") == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-5.0, 5.0),
+                st.dictionaries(
+                    st.sampled_from("abcd"),
+                    st.one_of(
+                        st.floats(allow_nan=True, allow_infinity=True),
+                        st.booleans(),
+                        st.integers(0, 7),
+                    ),
+                    max_size=4,
+                ),
+            ),
+            max_size=12,
+        )
+    )
+    def test_record_many_equals_a_loop_of_record(self, frames):
+        looped, batched = Trace(), Trace()
+
+        def outcome(record):
+            try:
+                record()
+            except TraceError as error:
+                return str(error)
+            return None
+
+        for timestamp, values in frames:
+
+            def loop():
+                for signal, value in values.items():
+                    looped.record(signal, timestamp, value)
+
+            assert outcome(loop) == outcome(
+                lambda: batched.record_many(timestamp, values)
+            )
+        # Same columns, bit for bit (NaN payloads included), and the
+        # same partial appends after a rejected frame.
+        assert looped.signals() == batched.signals()
+        for signal in looped.signals():
+            for a, b in zip(
+                looped.update_arrays(signal), batched.update_arrays(signal)
+            ):
+                assert a.tobytes() == b.tobytes()
+
     def test_nan_and_inf_are_recordable(self):
         trace = Trace()
         trace.record("a", 0.0, float("nan"))

@@ -28,6 +28,8 @@ from repro.core.robustness import (
     float_to_json,
 )
 from repro.core.violations import NearMiss
+from repro.errors import ReproError
+from repro.schema import SchemaError
 from repro.testing.campaign import RobustnessCampaign, single_signal_tests
 
 SUBSET = single_signal_tests()[:4]
@@ -104,6 +106,17 @@ class TestInfinityJson:
     def test_nan_is_rejected_not_leaked(self):
         with pytest.raises(ValueError):
             float_to_json(math.nan)
+
+    @pytest.mark.parametrize(
+        "value", [10**400, -(10**400), math.nan, "nan", "1.5", [], True]
+    )
+    def test_undecodable_bound_is_a_schema_error(self, value):
+        # Typed for the ReproError boundary, and still a ValueError for
+        # callers that catch that.
+        with pytest.raises(SchemaError) as caught:
+            float_from_json(value)
+        assert isinstance(caught.value, ReproError)
+        assert isinstance(caught.value, ValueError)
 
     @pytest.mark.parametrize(
         "robustness",
